@@ -1,25 +1,20 @@
-"""Hardware design-space sweep throughput: config-axis grid vs per-config loop.
+"""Hardware design-space sweep throughput of the config-axis grid path.
 
 A design-space study multiplies the sweep cost by the size of the hardware
 grid: the same population is re-simulated on every configuration.  The
-per-config loop re-runs the mapping/cache/timing/energy kernels once per
-configuration; the config-axis vectorized path
-(:meth:`BatchSimulator.evaluate_table_grid`) broadcasts the configuration
-scalars as :class:`~repro.arch.ConfigTable` columns, runs every kernel once
-over ``(num_configs, num_layers)`` arrays, and factorizes the mapping/cache
+config-axis path (:meth:`BatchSimulator.evaluate_table_grid`) broadcasts the
+configuration scalars as :class:`~repro.arch.ConfigTable` columns, runs the
+fused kernel once over the whole grid, and factorizes the mapping/cache
 kernels over the distinct sub-configurations they read (a clock axis is
-free).  This benchmark measures both on the same grid (and asserts
-bit-identical results); the grid path must be at least 3x faster on a
->= 16-configuration grid.  Smaller (smoke-sized) grids only require 2x: the
-fused grid kernel carries ~1 ms of fixed per-call setup (unique-level array
-assembly + scratch buffers), which is a visible fraction of a
-few-millisecond sweep but vanishes at every real scale.
+free).  Sampled (model, configuration) cells are checked against the scalar
+:class:`~repro.simulator.PerformanceSimulator` oracle before timing.
 
-The primary population is generation-scale (tens of models) — the shape the
-grid path actually serves in the co-search inner loop, predictor pools and
+The headline is the machine-normalized rate ``grid_evals_per_calibration``
+= (model, config) evaluations/sec × ``calibration_seconds``.  The primary
+population is generation-scale (tens of models) — the shape the grid path
+actually serves in the co-search inner loop, predictor pools and
 incremental store extends.  A second, larger population is reported for
-context: there both paths stream the same multi-megabyte arrays and the
-speedup honestly tapers toward the memory-bandwidth bound.
+context.
 """
 
 from __future__ import annotations
@@ -33,9 +28,9 @@ import numpy as np
 from repro.hwspace import AcceleratorSpace
 from repro.nasbench import NASBenchDataset
 from repro.nasbench.layer_table import LayerTable
-from repro.simulator import BatchSimulator
+from repro.simulator import BatchSimulator, PerformanceSimulator
 
-from _reporting import report, report_json
+from _reporting import machine_calibration, report, report_json
 
 #: Models in the primary (generation-scale) swept population.
 HW_MODELS = int(os.environ.get("REPRO_BENCH_HW_MODELS", "48"))
@@ -45,6 +40,8 @@ HW_LARGE_MODELS = int(os.environ.get("REPRO_BENCH_HW_LARGE_MODELS", "200"))
 HW_CONFIGS = int(os.environ.get("REPRO_BENCH_HW_CONFIGS", "36"))
 #: Timed repetitions (best-of).
 HW_ROUNDS = int(os.environ.get("REPRO_BENCH_HW_ROUNDS", "3"))
+#: (model, config) cells checked against the scalar oracle per population.
+ORACLE_CELLS = 8
 
 #: The benchmark grid: clock x PE geometry x cores x lanes around V1.
 SPACE = AcceleratorSpace(
@@ -68,86 +65,60 @@ def _best_of(rounds, run):
 
 
 def _measure(num_models, configs, simulator, seed=2022):
-    """Best-of timings of both sweep paths on one population; checks equality."""
+    """Best-of grid timing on one population; checks cells against the oracle."""
     dataset = NASBenchDataset.generate(num_models=num_models, seed=seed)
     networks = [record.build_network(dataset.network_config) for record in dataset]
     table = LayerTable.from_networks(networks)
 
-    def loop_sweep():
-        return [simulator.evaluate_table(table, config) for config in configs]
-
     def grid_sweep():
         return simulator.evaluate_table_grid(table, configs)
 
-    # Warm-up + equivalence guard: the two paths must agree bit-for-bit.
-    loop_results = loop_sweep()
+    # Warm-up + equivalence guard against the scalar engine.
     grid_latency, grid_energy = grid_sweep()
-    for index in range(len(configs)):
-        np.testing.assert_array_equal(grid_latency[index], loop_results[index][0])
-        np.testing.assert_array_equal(grid_energy[index], loop_results[index][1])
+    rng = np.random.default_rng(seed)
+    for _ in range(ORACLE_CELLS):
+        model, row = int(rng.integers(num_models)), int(rng.integers(len(configs)))
+        scalar = PerformanceSimulator(configs[row]).simulate(networks[model])
+        np.testing.assert_allclose(grid_latency[row, model], scalar.latency_ms, rtol=1e-9)
+        np.testing.assert_allclose(grid_energy[row, model], scalar.energy_mj, rtol=1e-9)
 
-    loop_elapsed, _ = _best_of(HW_ROUNDS, loop_sweep)
     grid_elapsed, _ = _best_of(HW_ROUNDS, grid_sweep)
-    return grid_sweep, loop_elapsed, grid_elapsed
+    return grid_sweep, grid_elapsed
 
 
 def test_hwsweep_throughput(benchmark):
     configs = list(itertools.islice(SPACE.enumerate(), HW_CONFIGS))
     simulator = BatchSimulator()
 
-    grid_sweep, loop_elapsed, grid_elapsed = _measure(HW_MODELS, configs, simulator)
+    grid_sweep, grid_elapsed = _measure(HW_MODELS, configs, simulator)
     benchmark.pedantic(grid_sweep, rounds=1, iterations=1)
 
-    evaluations = HW_MODELS * len(configs)
-    loop_rate = evaluations / loop_elapsed
-    grid_rate = evaluations / grid_elapsed
-    speedup = grid_rate / loop_rate
+    grid_rate = HW_MODELS * len(configs) / grid_elapsed
 
     benchmark.extra_info["grid_configs"] = len(configs)
     benchmark.extra_info["models"] = HW_MODELS
-    benchmark.extra_info["loop_evals_per_sec"] = round(loop_rate, 1)
     benchmark.extra_info["grid_evals_per_sec"] = round(grid_rate, 1)
-    benchmark.extra_info["grid_speedup"] = round(speedup, 1)
 
     lines = [
         "Hardware design-space sweep — (model, config) evaluations/sec over "
         f"a {len(configs)}-configuration grid",
-        f"{'engine':<34}{'evals/sec':>14}{'elapsed (s)':>14}{'speedup':>10}",
-        f"{f'per-config loop ({HW_MODELS} models)':<34}"
-        f"{loop_rate:>14.1f}{loop_elapsed:>14.3f}{1.0:>10.1f}",
-        f"{f'config-axis grid ({HW_MODELS} models)':<34}"
-        f"{grid_rate:>14.1f}{grid_elapsed:>14.3f}{speedup:>10.1f}",
+        f"{'engine':<34}{'evals/sec':>14}{'elapsed (s)':>14}",
+        f"{f'config-axis grid ({HW_MODELS} models)':<34}{grid_rate:>14.1f}{grid_elapsed:>14.3f}",
     ]
 
     if HW_LARGE_MODELS:
-        _, large_loop, large_grid = _measure(HW_LARGE_MODELS, configs, simulator)
-        large_evaluations = HW_LARGE_MODELS * len(configs)
-        large_loop_rate = large_evaluations / large_loop
-        large_grid_rate = large_evaluations / large_grid
+        _, large_elapsed = _measure(HW_LARGE_MODELS, configs, simulator)
+        large_rate = HW_LARGE_MODELS * len(configs) / large_elapsed
         benchmark.extra_info["large_models"] = HW_LARGE_MODELS
-        benchmark.extra_info["large_grid_speedup"] = round(large_grid_rate / large_loop_rate, 1)
-        lines += [
-            f"{f'per-config loop ({HW_LARGE_MODELS} models)':<34}"
-            f"{large_loop_rate:>14.1f}{large_loop:>14.3f}{1.0:>10.1f}",
+        benchmark.extra_info["large_grid_evals_per_sec"] = round(large_rate, 1)
+        lines.append(
             f"{f'config-axis grid ({HW_LARGE_MODELS} models)':<34}"
-            f"{large_grid_rate:>14.1f}{large_grid:>14.3f}"
-            f"{large_grid_rate / large_loop_rate:>10.1f}",
-        ]
+            f"{large_rate:>14.1f}{large_elapsed:>14.3f}"
+        )
     report("hwsweep_throughput", lines)
     report_json(
         "hwsweep_throughput",
-        headline={"grid_speedup": speedup},
+        headline={"grid_evals_per_calibration": grid_rate * machine_calibration()},
         population={"models": HW_MODELS, "configs": len(configs)},
-        metrics={"loop_evals_per_sec": loop_rate, "grid_evals_per_sec": grid_rate},
+        metrics={"grid_evals_per_sec": grid_rate},
     )
-
-    if len(configs) >= 8:
-        # Small smoke grids finish in a few milliseconds, where the fused
-        # kernel's ~1 ms fixed setup is visible; the 3x bar applies to real
-        # grid widths (the comparator still gates the measured smoke speedup
-        # against its committed baseline).
-        floor = 3.0 if len(configs) >= 16 else 2.0
-        assert speedup >= floor, (
-            f"config-axis sweep only {speedup:.1f}x the per-config loop on a "
-            f"{len(configs)}-configuration grid (floor {floor}x)"
-        )

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..errors import ModelError
-from .backend import active_backend
 
 Array = np.ndarray
 
@@ -299,22 +298,16 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
 
 
 def gather(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor (``a[indices]``).
-
-    Forward and backward both route through the active array backend
-    (:mod:`repro.core.backend`): the gather itself and the scatter-add that
-    accumulates repeated-row gradients are the two primitives a JIT/device
-    backend can actually accelerate.
-    """
+    """Select rows of a 2-D tensor (``a[indices]``)."""
     indices = np.asarray(indices, dtype=np.int64)
-    backend = active_backend()
-    out_data = backend.take(a.data, indices)
+    out_data = a.data[indices]
 
     def backward(gradient: Array) -> None:
         if not a.requires_grad:
             return
         grad = np.zeros_like(a.data)
-        backend.scatter_add(grad, indices, gradient)
+        # add.at accumulates the gradients of repeated rows.
+        np.add.at(grad, indices, gradient)
         a._accumulate(grad)
 
     return Tensor(out_data, parents=(a,), backward=backward, name="gather")
@@ -327,22 +320,55 @@ def segment_sum(
 
     This is the aggregation primitive of the graph network: summing edge
     features into their receiver nodes, or node/edge features into their
-    graph's global feature.  Routed through the active array backend; pass
-    ``sorted_ids=True`` when the ids are non-decreasing (the packed
-    graph-table aggregations are, by construction) to unlock the
-    sequential-reduction fast path — bit-for-bit the scatter-add result.
+    graph's global feature.  Pass ``sorted_ids=True`` when the ids are
+    non-decreasing (the packed graph-table aggregations are, by
+    construction) to unlock the ``reduceat`` fast path of
+    :func:`segment_sum_rows`.
     """
     segment_ids = np.asarray(segment_ids, dtype=np.int64)
     if segment_ids.shape[0] != a.data.shape[0]:
         raise ModelError("segment_ids must have one entry per row")
-    backend = active_backend()
-    out_data = backend.segment_sum(a.data, segment_ids, num_segments, sorted_ids=sorted_ids)
+    out_data = segment_sum_rows(a.data, segment_ids, num_segments, sorted_ids=sorted_ids)
 
     def backward(gradient: Array) -> None:
         if a.requires_grad:
-            a._accumulate(backend.take(gradient, segment_ids))
+            a._accumulate(gradient[segment_ids])
 
     return Tensor(out_data, parents=(a,), backward=backward, name="segment_sum")
+
+
+def segment_sum_rows(
+    values: Array,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    sorted_ids: bool = False,
+) -> Array:
+    """Sum rows of the array *values* into ``num_segments`` buckets.
+
+    With ``sorted_ids=True`` the caller asserts the ids are non-decreasing
+    (true for the graph-table ``node_graph_ids`` / ``edge_graph_ids``
+    aggregations), unlocking the ``reduceat`` path — roughly an order of
+    magnitude faster than ``np.add.at`` and equal to roundoff (reduceat and
+    add.at differ only in association order).  The hint is verified (one
+    cheap pass) and quietly ignored when wrong, so a hand-built batch can
+    never produce wrong sums.
+    """
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    out_shape = (num_segments,) + values.shape[1:]
+    if values.shape[0] == 0:
+        return np.zeros(out_shape, dtype=values.dtype)
+    if sorted_ids and bool((np.diff(segment_ids) >= 0).all()):
+        counts = np.bincount(segment_ids, minlength=num_segments)
+        out = np.zeros(out_shape, dtype=values.dtype)
+        nonempty = counts > 0
+        # Consecutive non-empty starts delimit exactly the segment runs,
+        # because empty segments contribute no rows in between.
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        out[nonempty] = np.add.reduceat(values, starts[nonempty], axis=0)
+        return out
+    out = np.zeros(out_shape, dtype=np.result_type(values.dtype, np.float64))
+    np.add.at(out, segment_ids, values)
+    return out.astype(values.dtype, copy=False)
 
 
 def layer_norm(a: Tensor, scale: Tensor, offset: Tensor, epsilon: float = 1e-5) -> Tensor:

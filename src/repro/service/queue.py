@@ -1,10 +1,9 @@
 """Filesystem-backed work queue for distributed sweep draining.
 
-``MeasurementStore.sweep(n_jobs=...)`` is a single-host process pool: one
-coordinating process owns the shard list and its workers die with it.  This
-module promotes the (shard, configuration) pair to a first-class work unit
-that *independent* worker processes — or hosts sharing the store directory
-over a network filesystem — can drain without any coordinator process:
+``MeasurementStore.sweep`` runs in one process.  This module promotes the
+(shard, configuration) pair to a first-class work unit that *independent*
+worker processes — or hosts sharing the store directory over a network
+filesystem — can drain without any coordinator process:
 
 * :class:`SweepManifest` — the full pair list of one sweep, content-keyed
   like the shards themselves (the digest covers the shard fingerprints, the
@@ -160,7 +159,6 @@ class SweepManifest:
         shard_size: int,
         enable_parameter_caching: bool = True,
         prefix: str = "shard",
-        strategy: str = "fused",
     ) -> "SweepManifest":
         """Describe the sweep of *dataset* × *configs* as claimable pairs."""
         from .store import MeasurementStore  # deferred: store imports us lazily
@@ -200,7 +198,6 @@ class SweepManifest:
             "prefix": prefix,
             "shard_size": int(shard_size),
             "parameter_caching": bool(enable_parameter_caching),
-            "strategy": strategy,
             "network_config": {
                 "stem_channels": dataset.network_config.stem_channels,
                 "num_stacks": dataset.network_config.num_stacks,
@@ -277,10 +274,6 @@ class SweepManifest:
     @property
     def enable_parameter_caching(self) -> bool:
         return self._payload["parameter_caching"]
-
-    @property
-    def strategy(self) -> str:
-        return self._payload.get("strategy", "fused")
 
     @property
     def num_shards(self) -> int:

@@ -38,7 +38,6 @@ import os
 import re
 import uuid
 import zipfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -49,8 +48,7 @@ from .. import obs
 from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig, get_config
 from ..errors import ServiceError
 from ..nasbench.dataset import NASBenchDataset
-from ..nasbench.layer_table import LayerTable
-from ..simulator.batch import BatchSimulator, simulate_shard
+from ..simulator.batch import BatchSimulator, shard_table, simulate_shard
 from ..simulator.runner import MeasurementSet
 
 #: Bump to invalidate every stored shard when the on-disk format changes.
@@ -281,7 +279,6 @@ class MeasurementStore:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig | str] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
     ) -> MeasurementSet:
         """Bring the store up to date with *dataset* × *configs* and load it.
@@ -289,8 +286,9 @@ class MeasurementStore:
         Only the missing (shard, configuration) pairs are simulated; every
         completed pair is persisted before the next shard starts, so the
         sweep survives interruption and a re-run resumes with exactly the
-        remaining shards.  With ``n_jobs > 1`` the missing shards are
-        simulated by a process pool and saved as their futures resolve.
+        remaining shards.  To spread a sweep over several processes or
+        hosts, publish a manifest (:meth:`publish_manifest`) and drain it
+        with :class:`~repro.service.worker.SweepWorker` processes.
 
         *progress_callback* receives ``(config_name, done_models, total)``
         per completed shard (loaded or simulated), in monotonically
@@ -311,16 +309,7 @@ class MeasurementStore:
             [record.fingerprint for record in dataset.records[start:stop]]
             for start, stop in ranges
         ]
-        with obs.span(
-            "store.extend", configs=len(config_list), models=total, n_jobs=n_jobs
-        ):
-            if n_jobs > 1:
-                self._extend_parallel(
-                    dataset, config_list, ranges, prints, latencies, energies,
-                    n_jobs, progress_callback,
-                )
-                return MeasurementSet(dataset, latencies, energies)
-
+        with obs.span("store.extend", configs=len(config_list), models=total):
             done = {c.name: 0 for c in config_list}
             for (start, stop), shard_prints in zip(ranges, prints):
                 missing: list[AcceleratorConfig] = []
@@ -340,16 +329,13 @@ class MeasurementStore:
                     with obs.span(
                         "store.simulate_shard", models=stop - start, configs=len(missing)
                     ):
-                        networks = [
-                            dataset[index].build_network(dataset.network_config)
-                            for index in range(start, stop)
-                        ]
-                        table = LayerTable.from_networks(networks)
-                        grid_latency, grid_energy = self._simulator.evaluate_table_grid(
-                            table, missing
+                        table = shard_table(
+                            [record.architecture for record in dataset.records[start:stop]],
+                            dataset.network_config,
                         )
-                    for index, config in enumerate(missing):
-                        latency, energy = grid_latency[index], grid_energy[index]
+                        results = simulate_shard(self._simulator, table, missing)
+                    for config in missing:
+                        latency, energy = results[config.name]
                         self._save_pair(shard_prints, config.name, latency, energy)
                         latencies[config.name][start:stop] = latency
                         energies[config.name][start:stop] = energy
@@ -364,7 +350,6 @@ class MeasurementStore:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig | str] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
     ) -> MeasurementSet:
         """Run (or resume) the sweep of *dataset* × *configs*.
@@ -372,9 +357,7 @@ class MeasurementStore:
         Alias of :meth:`extend` — a cold sweep, a resumed sweep and an
         incremental extension are the same operation over the store.
         """
-        return self.extend(
-            dataset, configs=configs, n_jobs=n_jobs, progress_callback=progress_callback
-        )
+        return self.extend(dataset, configs=configs, progress_callback=progress_callback)
 
     def ingest(self, measurements: MeasurementSet) -> int:
         """Persist an in-memory measurement set shard-by-shard.
@@ -586,7 +569,7 @@ class MeasurementStore:
             loose_removed=loose_removed,
         )
 
-    def publish_manifest(self, dataset, configs=None, strategy: str = "fused"):
+    def publish_manifest(self, dataset, configs=None):
         """Persist a :class:`~repro.service.queue.SweepManifest` for this sweep.
 
         The manifest makes the store directory drainable by independent
@@ -602,7 +585,6 @@ class MeasurementStore:
             shard_size=self.shard_size,
             enable_parameter_caching=self.enable_parameter_caching,
             prefix=self.prefix,
-            strategy=strategy,
         )
         self.root.mkdir(parents=True, exist_ok=True)
         manifest.save(self.root)
@@ -614,28 +596,63 @@ class MeasurementStore:
             entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] = {}
             if self.root.is_dir():
                 for index_path in sorted(self.root.glob(f"{self.prefix}-compact-*.json")):
-                    try:
-                        payload = json.loads(index_path.read_text())
-                    except (OSError, json.JSONDecodeError):
-                        continue
-                    if (
-                        payload.get("kind") != "compacted-index"
-                        or payload.get("version") != STORE_FORMAT_VERSION
-                        or payload.get("parameter_caching") != self.enable_parameter_caching
-                    ):
-                        continue
-                    data_path = self.root / payload.get("data", "")
-                    if not data_path.exists():
-                        continue
-                    for entry in payload.get("entries", []):
-                        entries[(entry["config"], entry["key"])] = (
-                            data_path,
-                            int(entry["offset"]),
-                            int(entry["length"]),
-                            list(entry["fingerprints"]),
-                        )
+                    entries.update(self._read_compaction_index(index_path))
             self._compact_entries = entries
         return self._compact_entries
+
+    def _read_compaction_index(
+        self, index_path: Path
+    ) -> dict[tuple[str, str], tuple[Path, int, int, list[str]]]:
+        """Entries of one compacted index file.
+
+        An unreadable or foreign index file, and any malformed entry in it,
+        is skipped: its pairs read as misses (the loose files or a
+        re-simulation serve them), exactly like a corrupt npz.
+        """
+        try:
+            payload = json.loads(index_path.read_text())
+        except (OSError, ValueError):
+            self._skip_compaction_index(index_path, "unreadable JSON")
+            return {}
+        if (
+            not isinstance(payload, dict)
+            or payload.get("kind") != "compacted-index"
+            or payload.get("version") != STORE_FORMAT_VERSION
+            or payload.get("parameter_caching") != self.enable_parameter_caching
+        ):
+            reason = "not a compacted index of this format and caching mode"
+            self._skip_compaction_index(index_path, reason)
+            return {}
+        data_path = self.root / str(payload.get("data", ""))
+        raw_entries = payload.get("entries")
+        if not data_path.is_file() or not isinstance(raw_entries, list):
+            self._skip_compaction_index(index_path, "missing data file or entry list")
+            return {}
+        entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] = {}
+        for position, entry in enumerate(raw_entries):
+            try:
+                offset, length = int(entry["offset"]), int(entry["length"])
+                fingerprints = entry["fingerprints"]
+                if offset < 0 or length < 0 or not isinstance(fingerprints, list):
+                    raise ValueError("negative range or non-list fingerprints")
+                key = (str(entry["config"]), str(entry["key"]))
+            except (KeyError, TypeError, ValueError):
+                self._skip_compaction_index(index_path, f"malformed entry {position}")
+                continue
+            entries[key] = (data_path, offset, length, [str(item) for item in fingerprints])
+        return entries
+
+    @staticmethod
+    def _skip_compaction_index(index_path: Path, reason: str) -> None:
+        """Count and log one skipped compacted index file or entry."""
+        obs.count("store.compact_index_skipped")
+        obs.log(
+            "store.compact_index_skipped",
+            f"compacted index {index_path.name}: {reason}; skipped, its pairs read as misses",
+            level="warning",
+            path=str(index_path),
+            reason=reason,
+        )
 
     def _compacted_array(self, data_path: Path) -> np.ndarray | None:
         """The memory-mapped ``(2, rows)`` data array of one compacted file."""
@@ -653,69 +670,6 @@ class MeasurementStore:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _extend_parallel(
-        self,
-        dataset: NASBenchDataset,
-        config_list: Sequence[AcceleratorConfig],
-        ranges: Sequence[tuple[int, int]],
-        prints: Sequence[list[str]],
-        latencies: dict[str, np.ndarray],
-        energies: dict[str, np.ndarray],
-        n_jobs: int,
-        progress_callback: Callable[[str, int, int], None] | None,
-    ) -> None:
-        """Load hits, then simulate the missing shards on a process pool.
-
-        Completed shards are persisted as their futures resolve, so an
-        interrupted parallel sweep also resumes incrementally.
-        """
-        total = len(dataset)
-        done = {c.name: 0 for c in config_list}
-        missing_by_shard: dict[int, list[AcceleratorConfig]] = {}
-        for shard_index, ((start, stop), shard_prints) in enumerate(zip(ranges, prints)):
-            for config in config_list:
-                pair = self._load_pair(shard_prints, config.name)
-                if pair is None:
-                    missing_by_shard.setdefault(shard_index, []).append(config)
-                    obs.count("store.pair_misses")
-                    continue
-                latencies[config.name][start:stop] = pair[0]
-                energies[config.name][start:stop] = pair[1]
-                self._tally(pairs_loaded=1, models_loaded=stop - start)
-                done[config.name] += stop - start
-        if progress_callback is not None:
-            # Report the warm coverage up front; simulated shards tick below.
-            for config in config_list:
-                if done[config.name]:
-                    progress_callback(config.name, done[config.name], total)
-        if not missing_by_shard:
-            return
-        archs = [record.architecture for record in dataset]
-        with ProcessPoolExecutor(
-            max_workers=min(n_jobs, len(missing_by_shard))
-        ) as pool:
-            futures = {
-                pool.submit(
-                    simulate_shard,
-                    archs[ranges[shard_index][0] : ranges[shard_index][1]],
-                    dataset.network_config,
-                    tuple(missing),
-                    self.enable_parameter_caching,
-                ): shard_index
-                for shard_index, missing in missing_by_shard.items()
-            }
-            for future in as_completed(futures):
-                shard_index = futures[future]
-                start, stop = ranges[shard_index]
-                for name, (latency, energy) in future.result().items():
-                    self._save_pair(prints[shard_index], name, latency, energy)
-                    latencies[name][start:stop] = latency
-                    energies[name][start:stop] = energy
-                    self._tally(pairs_simulated=1, models_simulated=stop - start)
-                    done[name] += stop - start
-                    if progress_callback is not None:
-                        progress_callback(name, done[name], total)
-
     def _load_pair(
         self, fingerprints: Sequence[str], config_name: str, count_stats: bool = True
     ) -> tuple[np.ndarray, np.ndarray] | None:

@@ -37,10 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .. import obs
-from ..errors import ServiceError
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import expand_architecture
-from ..simulator.batch import GRID_STRATEGIES, BatchSimulator
+from ..simulator.batch import BatchSimulator, shard_table, simulate_shard
 from .queue import (
     DEFAULT_LEASE_EXPIRY,
     SweepManifest,
@@ -119,7 +117,6 @@ class SweepWorker:
         expiry_seconds: float = DEFAULT_LEASE_EXPIRY,
         poll_seconds: float = 0.5,
         throttle_seconds: float = 0.0,
-        strategy: str | None = None,
     ):
         self.store_dir = Path(store_dir)
         self.manifest = manifest or SweepManifest.find(self.store_dir)
@@ -127,14 +124,8 @@ class SweepWorker:
         self.queue = WorkQueue(self.store_dir, self.manifest, expiry_seconds=expiry_seconds)
         self.poll_seconds = float(poll_seconds)
         self.throttle_seconds = float(throttle_seconds)
-        strategy = strategy or self.manifest.strategy
-        if strategy not in GRID_STRATEGIES:
-            raise ServiceError(
-                f"unknown grid strategy {strategy!r}; expected one of {GRID_STRATEGIES}"
-            )
         self._simulator = BatchSimulator(
-            enable_parameter_caching=self.manifest.enable_parameter_caching,
-            strategy=strategy,
+            enable_parameter_caching=self.manifest.enable_parameter_caching
         )
         self._table_cache: tuple[int, LayerTable] | None = None
         self._started_at = time.time()
@@ -202,13 +193,14 @@ class SweepWorker:
                 if self.throttle_seconds:
                     time.sleep(self.throttle_seconds)
                 table = self._shard_table(pair.shard_index)
-                latency, energy = self._simulator.evaluate_table_grid(table, [config])
+                results = simulate_shard(self._simulator, table, [config])
+            latency, energy = results[config.name]
             write_npz(
                 self.manifest.pair_path(self.store_dir, pair),
                 {
                     "fingerprints": np.asarray(fingerprints),
-                    "latency": np.asarray(latency[0], dtype=float),
-                    "energy": np.asarray(energy[0], dtype=float),
+                    "latency": np.asarray(latency, dtype=float),
+                    "energy": np.asarray(energy, dtype=float),
                 },
             )
         obs.observe("worker.pair_ms", (time.perf_counter() - pair_start) * 1e3)
@@ -240,12 +232,7 @@ class SweepWorker:
         the same shard skip the network rebuild."""
         if self._table_cache is not None and self._table_cache[0] == shard_index:
             return self._table_cache[1]
-        network_config = self.manifest.network_config()
-        networks = [
-            expand_architecture(arch, network_config)
-            for arch in self.manifest.shard_archs(shard_index)
-        ]
-        table = LayerTable.from_networks(networks)
+        table = shard_table(self.manifest.shard_archs(shard_index), self.manifest.network_config())
         self._table_cache = (shard_index, table)
         return table
 
@@ -303,10 +290,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--max-pairs", type=int, default=None,
         help="exit after simulating this many pairs (default: run to completion)",
     )
-    parser.add_argument(
-        "--strategy", choices=GRID_STRATEGIES, default=None,
-        help="grid kernel strategy (default: the manifest's)",
-    )
     args = parser.parse_args(argv)
     manifest = SweepManifest.find(args.store_dir, digest=args.manifest)
     worker = SweepWorker(
@@ -316,7 +299,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         expiry_seconds=args.expiry,
         poll_seconds=args.poll_interval,
         throttle_seconds=args.throttle,
-        strategy=args.strategy,
     )
     result = worker.run(max_pairs=args.max_pairs)
     obs.log(

@@ -13,21 +13,18 @@ The accelerator configurations are an array axis too
 configuration grid is evaluated in one ``(num_configs, num_layers)`` pass
 instead of once per configuration.
 
-The results are bit-for-bit the scalar engine's (both paths run the same
-kernels; only the reduction order of float sums differs, within 1e-9
-relative).  :meth:`BatchSimulator.evaluate` returns the same
+Every entry point runs the single fused kernel
+(:func:`~repro.simulator.fused.compile_and_time_table`); the scalar
+:class:`~repro.simulator.engine.PerformanceSimulator` is its test oracle, and
+the two agree within 1e-9 relative (only the reduction order of float sums
+differs).  :meth:`BatchSimulator.evaluate` returns the same
 :class:`~repro.simulator.runner.MeasurementSet` as
 :func:`~repro.simulator.runner.evaluate_dataset`, so all analysis and
 benchmark consumers are unchanged.
-
-For very large populations the sweep can additionally be sharded over model
-ranges with ``n_jobs > 1`` (process-based, fork-safe: each worker builds and
-simulates only its slice of the population).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,24 +32,16 @@ import numpy as np
 from .. import obs
 from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig
 from ..arch.config_table import ConfigTable
-from ..arch.energy import energy_parameters_for, energy_parameters_table
-from ..compiler import compile_layer_table
 from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
 from ..nasbench.macro import MacroSpec, expand_architecture
 from ..nasbench.network import NetworkConfig, NetworkSpec, build_network
-from .energy import layer_energy_table, static_energy_mj
 from .fused import compile_and_time_table
-from .latency import cycles_to_milliseconds, model_latency_cycles_table, time_layer_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..service.store import MeasurementStore
-
-
-#: Grid-evaluation strategies accepted by :class:`BatchSimulator`.
-GRID_STRATEGIES: tuple[str, ...] = ("fused", "staged")
 
 
 class BatchSimulator:
@@ -63,31 +52,10 @@ class BatchSimulator:
     enable_parameter_caching:
         Forwarded to the compiler; the paper's results have it enabled and
         the ablation benchmarks switch it off.
-    strategy:
-        How :meth:`evaluate_table_grid` runs the config-axis sweep.
-        ``"fused"`` (the default) threads scratch buffers through the single
-        :func:`~repro.simulator.fused.compile_and_time_table` kernel;
-        ``"staged"`` runs the original per-stage array passes.  Both produce
-        bit-for-bit identical results — the staged path is kept as the
-        equivalence oracle.
-    backend:
-        Array backend for the fused path (name, instance, or ``None`` for
-        the process-wide active backend, usually numpy).
     """
 
-    def __init__(
-        self,
-        enable_parameter_caching: bool = True,
-        strategy: str = "fused",
-        backend: str | None = None,
-    ):
-        if strategy not in GRID_STRATEGIES:
-            raise SimulationError(
-                f"unknown grid strategy {strategy!r}; expected one of {GRID_STRATEGIES}"
-            )
+    def __init__(self, enable_parameter_caching: bool = True):
         self.enable_parameter_caching = enable_parameter_caching
-        self.strategy = strategy
-        self.backend = backend
 
     # ------------------------------------------------------------------ #
     # Entry points
@@ -96,17 +64,14 @@ class BatchSimulator:
         self,
         dataset: NASBenchDataset,
         configs: Iterable[AcceleratorConfig] | None = None,
-        n_jobs: int = 1,
         progress_callback: Callable[[str, int, int], None] | None = None,
         store: "MeasurementStore | None" = None,
     ):
         """Simulate every model of *dataset* on every configuration.
 
         Returns the same :class:`~repro.simulator.runner.MeasurementSet` as
-        the scalar sweep.  With ``n_jobs > 1`` the population is sharded over
-        model ranges and evaluated by a process pool; *progress_callback* is
-        invoked per shard as worker futures resolve, so long sweeps report
-        live progress instead of one burst at the end.
+        the scalar sweep; *progress_callback* fires once per completed
+        configuration.
 
         With *store* set, the sweep goes through a resumable
         :class:`~repro.service.store.MeasurementStore`: shards already on
@@ -133,12 +98,7 @@ class BatchSimulator:
                     f"simulator={self.enable_parameter_caching}); shard keys "
                     "would not match the simulated results"
                 )
-            return store.extend(
-                dataset,
-                configs=config_list,
-                n_jobs=n_jobs,
-                progress_callback=progress_callback,
-            )
+            return store.extend(dataset, configs=config_list, progress_callback=progress_callback)
         total = len(dataset)
 
         if total == 0:
@@ -148,23 +108,16 @@ class BatchSimulator:
                 {config.name: np.empty(0, dtype=float) for config in config_list},
                 {config.name: np.full(0, np.nan, dtype=float) for config in config_list},
             )
-        with obs.span(
-            "sim.evaluate", models=total, configs=len(config_list), n_jobs=n_jobs
-        ):
-            if n_jobs > 1:
-                latencies, energies = self._evaluate_sharded(
-                    dataset, config_list, n_jobs, progress_callback
-                )
-            else:
-                networks = [record.build_network(dataset.network_config) for record in dataset]
-                table = LayerTable.from_networks(networks)
-                grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
-                latencies, energies = {}, {}
-                for index, config in enumerate(config_list):
-                    latencies[config.name] = grid_latency[index]
-                    energies[config.name] = grid_energy[index]
-                    if progress_callback is not None:
-                        progress_callback(config.name, total, total)
+        with obs.span("sim.evaluate", models=total, configs=len(config_list)):
+            networks = [record.build_network(dataset.network_config) for record in dataset]
+            table = LayerTable.from_networks(networks)
+            grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
+            latencies, energies = {}, {}
+            for index, config in enumerate(config_list):
+                latencies[config.name] = grid_latency[index]
+                energies[config.name] = grid_energy[index]
+                if progress_callback is not None:
+                    progress_callback(config.name, total, total)
         return MeasurementSet(dataset, latencies, energies)
 
     def evaluate_networks(
@@ -191,27 +144,16 @@ class BatchSimulator:
     def evaluate_table(
         self, table: LayerTable, config: AcceleratorConfig
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Core kernel: latency (ms) and energy (mJ) per model of *table*.
+        """Latency (ms) and energy (mJ) per model of *table* on one configuration.
 
-        Energy is NaN for configurations without a published energy model
-        (V3), matching the scalar sweep's convention.
+        Row 0 of the fused kernel on ``[config]``.  Energy is NaN for
+        configurations without a published energy model (V3), matching the
+        scalar sweep's convention.
         """
-        compiled = compile_layer_table(
-            table, config, enable_parameter_caching=self.enable_parameter_caching
+        result = compile_and_time_table(
+            table, [config], enable_parameter_caching=self.enable_parameter_caching
         )
-        timing = time_layer_table(compiled)
-        total_cycles = model_latency_cycles_table(timing, table.model_offsets, config)
-        latency_ms = cycles_to_milliseconds(total_cycles, config)
-
-        params = energy_parameters_for(config)
-        if params.available:
-            dynamic = np.add.reduceat(
-                layer_energy_table(compiled, timing, params), table.segment_starts
-            )
-            energy_mj = dynamic + static_energy_mj(latency_ms, params)
-        else:
-            energy_mj = np.full(latency_ms.shape, np.nan)
-        return latency_ms, energy_mj
+        return result.latency_ms[0], result.energy_mj[0]
 
     def evaluate_table_grid(
         self,
@@ -222,131 +164,52 @@ class BatchSimulator:
 
         Returns ``(latency_ms, energy_mj)`` arrays of shape
         ``(num_configs, num_models)``, row ``i`` belonging to ``configs[i]``.
-        Instead of re-running the mapping/cache/timing/energy kernels once
-        per configuration (:meth:`evaluate_table`, kept as the equivalence
-        oracle), the configuration scalars become broadcastable
-        ``(num_configs, 1)`` columns of a
-        :class:`~repro.arch.config_table.ConfigTable` and every kernel runs
-        once over ``(num_configs, num_layers)`` arrays — bit-for-bit the
-        per-config loop's results.  Energy rows of configurations without a
-        published energy model are NaN, as in the scalar sweep.
-
-        With the default ``strategy="fused"`` the whole chain additionally
-        runs as the single scratch-threaded kernel of
-        :func:`~repro.simulator.fused.compile_and_time_table` instead of the
-        per-stage passes below — same results, a fraction of the memory
-        traffic.
+        The configuration scalars become broadcastable ``(num_configs, 1)``
+        columns of a :class:`~repro.arch.config_table.ConfigTable` and the
+        fused kernel of :func:`~repro.simulator.fused.compile_and_time_table`
+        runs the whole mapping/cache/timing/energy chain once — bit-for-bit
+        the per-config :meth:`evaluate_table` results.  Energy rows of
+        configurations without a published energy model are NaN, as in the
+        scalar sweep.
         """
         config_table = ConfigTable.from_configs(configs)
         with obs.span(
             "sim.grid",
-            strategy=self.strategy,
             configs=len(config_table),
             models=table.num_models,
             layers=table.num_layers,
         ):
             obs.count("sim.rows_processed", len(config_table) * table.num_layers)
-            if self.strategy == "fused":
-                result = compile_and_time_table(
-                    table,
-                    config_table,
-                    enable_parameter_caching=self.enable_parameter_caching,
-                    backend=self.backend,
-                )
-                return result.latency_ms, result.energy_mj
-            with obs.span("sim.mapping_cache"):
-                compiled = compile_layer_table(
-                    table, config_table, enable_parameter_caching=self.enable_parameter_caching
-                )
-            with obs.span("sim.timing"):
-                timing = time_layer_table(compiled)
-                total_cycles = model_latency_cycles_table(
-                    timing, table.model_offsets, config_table
-                )
-                latency_ms = cycles_to_milliseconds(total_cycles, config_table)
-            with obs.span("sim.energy"):
-                params = energy_parameters_table(config_table)
-                dynamic = np.add.reduceat(
-                    layer_energy_table(compiled, timing, params), table.segment_starts, axis=-1
-                )
-                energy_mj = dynamic + static_energy_mj(latency_ms, params)
-                energy_mj[~params.available] = np.nan
-            return latency_ms, energy_mj
+            result = compile_and_time_table(
+                table,
+                config_table,
+                enable_parameter_caching=self.enable_parameter_caching,
+            )
+            return result.latency_ms, result.energy_mj
 
-    # ------------------------------------------------------------------ #
-    # Process-based sharding
-    # ------------------------------------------------------------------ #
-    def _evaluate_sharded(
-        self,
-        dataset: NASBenchDataset,
-        config_list: Sequence[AcceleratorConfig],
-        n_jobs: int,
-        progress_callback: Callable[[str, int, int], None] | None = None,
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-        """Shard the population over model ranges and merge the results.
 
-        Shard results are written into the output arrays as their futures
-        resolve (:func:`~concurrent.futures.as_completed`), and
-        *progress_callback* fires per completed shard with cumulative
-        per-configuration counts — progress is live, not a single burst after
-        the whole pool drains.
-        """
-        total = len(dataset)
-        shards = [chunk for chunk in np.array_split(np.arange(total), n_jobs) if chunk.size]
-        archs = [record.architecture for record in dataset]
-        latencies = {config.name: np.empty(total, dtype=float) for config in config_list}
-        energies = {config.name: np.full(total, np.nan, dtype=float) for config in config_list}
-        done = {config.name: 0 for config in config_list}
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            futures = {
-                pool.submit(
-                    simulate_shard,
-                    [archs[i] for i in chunk],
-                    dataset.network_config,
-                    tuple(config_list),
-                    self.enable_parameter_caching,
-                    self.strategy,
-                ): chunk
-                for chunk in shards
-            }
-            for future in as_completed(futures):
-                chunk = futures[future]
-                result = future.result()
-                for config in config_list:
-                    shard_latency, shard_energy = result[config.name]
-                    latencies[config.name][chunk] = shard_latency
-                    energies[config.name][chunk] = shard_energy
-                    done[config.name] += int(chunk.size)
-                    if progress_callback is not None:
-                        progress_callback(config.name, done[config.name], total)
-        return latencies, energies
+def shard_table(archs: Sequence[Cell | MacroSpec], network_config: NetworkConfig) -> LayerTable:
+    """Expand one shard's architectures and pack them into one table.
+
+    Entries may be bare cells (expanded through *network_config*) or
+    self-contained macro specs.
+    """
+    return LayerTable.from_networks([expand_architecture(arch, network_config) for arch in archs])
 
 
 def simulate_shard(
-    cells: list[Cell | MacroSpec],
-    network_config: NetworkConfig,
-    configs: tuple[AcceleratorConfig, ...],
-    enable_parameter_caching: bool,
-    strategy: str = "fused",
+    simulator: BatchSimulator,
+    table: LayerTable,
+    configs: Sequence[AcceleratorConfig],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Build and evaluate one model-range shard on every configuration.
+    """Evaluate one packed shard (:func:`shard_table`) on every configuration.
 
-    The shared shard kernel of every sweep executor: the in-process pool
-    workers of :meth:`BatchSimulator.evaluate`, the store's parallel
-    :meth:`~repro.service.store.MeasurementStore.extend`, and the
-    distributed :class:`~repro.service.worker.SweepWorker` all route one
-    claimed shard through this function, so a shard simulates to identical
-    bytes no matter which executor ran it.  Entries may be bare cells
-    (expanded through *network_config*) or self-contained macro specs.
+    The shard body of both sweep executors: the store's
+    :meth:`~repro.service.store.MeasurementStore.extend` and the distributed
+    :class:`~repro.service.worker.SweepWorker` route every shard through
+    :func:`shard_table` and this function, so a shard simulates to identical
+    bytes no matter which executor ran it.  Returns ``{config name:
+    (latency_ms, energy_mj)}``.
     """
-    networks = [expand_architecture(arch, network_config) for arch in cells]
-    table = LayerTable.from_networks(networks)
-    simulator = BatchSimulator(
-        enable_parameter_caching=enable_parameter_caching, strategy=strategy
-    )
     latency, energy = simulator.evaluate_table_grid(table, configs)
     return {config.name: (latency[index], energy[index]) for index, config in enumerate(configs)}
-
-
-#: Backwards-compatible private alias (pre-distributed-sweep name).
-_sweep_shard = simulate_shard

@@ -1,22 +1,21 @@
 """Fused mapping→cache→timing→energy grid kernel with config sensitivities.
 
-:meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid` runs the
-grid as four staged array passes, each materializing full
-``(num_configs, num_layers)`` intermediates — a dozen-plus arrays of that
-shape for a large sweep, all streamed through DRAM once per stage.
-:func:`compile_and_time_table` fuses the chain: the mapping and cache kernels
-still run factorized over the *distinct* sub-configurations they read
-(exactly like the staged path), but nothing is ever gathered back to the full
-configuration axis.  Instead the timing/energy arithmetic walks the config
-axis in small chunks, threading a handful of reusable scratch buffers whose
-rows are gathered straight from the unique-level arrays — the only full-size
-traffic left is the per-chunk reads of four unique-level rows.
+:func:`compile_and_time_table` is the production implementation of the
+whole simulator chain behind every
+:class:`~repro.simulator.batch.BatchSimulator` entry point.  The mapping and
+cache kernels run factorized over the *distinct* sub-configurations they
+read, and nothing is ever gathered back to the full configuration axis:
+the timing/energy arithmetic walks the config axis in small chunks,
+threading a handful of reusable scratch buffers whose rows are gathered
+straight from the unique-level arrays — the only full-size traffic left is
+the per-chunk reads of four unique-level rows.
 
-The result is bit-for-bit the staged path's (the grid-equivalence suite
-asserts exact equality): every elementwise operation is the same numpy
-operation on the same values in the same association order, and both
-``np.add.reduceat`` and the scalar accumulation of the numba loop nest reduce
-segments sequentially in row order.
+The readable reference is the scalar
+:class:`~repro.simulator.engine.PerformanceSimulator`
+(``time_layer``/``layer_energy_mj`` per layer); the equivalence suites hold
+the kernel to it within 1e-9 relative.  Only the association order of the
+per-model float sums differs: ``np.add.reduceat`` versus the scalar engine's
+Python ``sum``.
 
 On top of the fused primal, the kernel optionally propagates forward-mode
 dual numbers through the timing chain, yielding two per-(config, model)
@@ -26,7 +25,7 @@ sensitivity columns:
     Exact for the real pipeline: no discrete compiler decision reads the
     clock (it is in neither ``MAPPING_CONFIG_FIELDS`` nor
     ``CACHE_CONFIG_FIELDS``), so away from branch ties the dual equals the
-    true derivative of ``evaluate_table_grid`` in the clock.
+    true derivative of the primal latency in the clock.
 ``d latency / d sram_byte``
     Defined under a documented *relaxed* cache model: discrete decisions
     (greedy layer selection, spill thresholds, capacity truncation) are
@@ -66,13 +65,7 @@ from ..arch.energy import (
 from ..arch.interconnect import on_chip_bytes_per_cycle, sustained_bytes_per_cycle
 from ..compiler.param_cache import CACHE_CONFIG_FIELDS, plan_cache_table
 from ..compiler.tiling import MAPPING_CONFIG_FIELDS, map_layer_table
-from ..core.backend import ArrayBackend, get_backend
 from ..nasbench.layer_table import LayerTable
-
-try:  # pragma: no cover - exercised only when numba is installed
-    from numba import prange
-except Exception:  # noqa: BLE001 - any import failure means plain Python
-    prange = range
 
 _PJ_TO_MJ = 1e-9
 
@@ -83,7 +76,7 @@ class FusedGridResult:
 
     The sensitivity columns are ``None`` unless the kernel was asked for
     them; energy rows of configurations without a published energy model are
-    NaN, matching the staged path.
+    NaN, matching the scalar engine.
     """
 
     latency_ms: np.ndarray
@@ -103,7 +96,7 @@ class _UniqueLevelArrays:
     them with the batch column: ``dram = stream + batch * act_dram``,
     ``compute = batch * compute_cycles``, etc.  Everything that touches an
     energy coefficient stays integer here so the chunk loop can keep the
-    ``pj * int`` association order of the staged kernels.
+    scalar engine's ``pj * int`` association order.
     """
 
     #: (Cm, L) int64 — per-image datapath cycles per unique mapping sub-config.
@@ -144,12 +137,10 @@ def _unique_level_arrays(
 ) -> _UniqueLevelArrays:
     """Run the factorized mapping/cache front end of the fused kernel.
 
-    Identical factorization to the staged ``_grid_mapping``/``_grid_cache``
-    helpers, but the results are *kept* at unique resolution: the chunk loop
-    gathers individual rows instead of materializing full-(C, L) arrays.
-    The cache plan itself comes from :func:`plan_cache_table` — the staged
-    planner — so bit-width scaling and the per-width greedy grouping cannot
-    drift between the two paths.
+    The mapping and cache kernels run once per distinct
+    :data:`MAPPING_CONFIG_FIELDS` / :data:`CACHE_CONFIG_FIELDS` row, and the
+    results are *kept* at unique resolution: the chunk loop gathers
+    individual rows instead of materializing full-(C, L) arrays.
     """
     starts = table.segment_starts
     working_set = table.input_activation_bytes + table.output_activation_bytes
@@ -167,7 +158,7 @@ def _unique_level_arrays(
         # The idle-lane slot count only reads mapping fields (issued MAC
         # slots), so it collapses to the mapping level too; it stays an
         # integer so the chunk loop can batch-scale it before the coefficient
-        # multiply, exactly like layer_energy_table.
+        # multiply, exactly like layer_energy_mj.
         macs = table.macs
         issued_slots = compute_cycles * unique_m.macs_per_cycle
         idle_slots = np.ascontiguousarray(
@@ -277,36 +268,26 @@ def compile_and_time_table(
     table: LayerTable,
     configs: "Sequence[AcceleratorConfig] | ConfigTable",
     enable_parameter_caching: bool = True,
-    backend: "str | ArrayBackend | None" = None,
     config_chunk: int | None = None,
     sensitivities: bool = False,
     sram_scale: float = 1.0,
 ) -> FusedGridResult:
     """Fused grid evaluation: latency, energy and optional sensitivities.
 
-    Drop-in accelerated equivalent of the staged
-    :meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid` chain
-    (``compile_layer_table → time_layer_table → layer_energy_table``), with
-    bit-for-bit identical ``latency_ms``/``energy_mj`` when ``sram_scale`` is
-    exactly ``1.0`` (the default; any other value evaluates the relaxed
-    frozen-plan cache model documented in the module docstring).
+    ``latency_ms``/``energy_mj`` are the scalar engine's per-model results
+    (within 1e-9 relative) when ``sram_scale`` is exactly ``1.0`` (the
+    default; any other value evaluates the relaxed frozen-plan cache model
+    documented in the module docstring).
 
     Parameters
     ----------
-    backend:
-        Backend name, instance, or ``None`` for the process-wide active
-        backend.  A JIT-capable backend (numba) runs the chunk arithmetic as
-        one ``@njit(parallel=True)`` loop nest; otherwise the chunks run as
-        in-place numpy kernels over preallocated scratch.
     config_chunk:
         Config rows processed per scratch buffer; defaults to a size that
         keeps the scratch near cache-resident.
     sensitivities:
         Also propagate the forward-mode duals and fill the two
-        ``dlatency_*`` columns (always on the numpy chunk path — the duals
-        are a diagnostics feature, not a hot loop).
+        ``dlatency_*`` columns.
     """
-    resolved = get_backend(backend)
     config_table = ConfigTable.from_configs(configs)
     num_configs = len(config_table)
     num_models = table.num_models
@@ -316,20 +297,12 @@ def compile_and_time_table(
         zeros = (np.zeros_like(empty), np.zeros_like(empty)) if sensitivities else (None, None)
         return FusedGridResult(empty, np.full_like(empty, np.nan), *zeros)
 
-    with obs.span(
-        "sim.fused",
-        configs=num_configs,
-        models=num_models,
-        layers=num_layers,
-        kernel="jit" if resolved.jit else "numpy",
-    ):
+    with obs.span("sim.fused", configs=num_configs, models=num_models, layers=num_layers):
         unique = _unique_level_arrays(
             table, config_table, enable_parameter_caching, sensitivities or sram_scale != 1.0
         )
         chunk = config_chunk or _auto_chunk(num_configs, num_layers)
-        result = _fused_time_energy(
-            unique, table, config_table, resolved, chunk, sensitivities, sram_scale
-        )
+        result = _fused_time_energy(unique, table, config_table, chunk, sensitivities, sram_scale)
     return result
 
 
@@ -337,7 +310,6 @@ def _fused_time_energy(
     unique: _UniqueLevelArrays,
     table: LayerTable,
     config_table: ConfigTable,
-    resolved: ArrayBackend,
     chunk: int,
     sensitivities: bool,
     sram_scale: float,
@@ -364,46 +336,22 @@ def _fused_time_energy(
     energy_mj = np.empty((num_configs, num_models), dtype=np.float64)
 
     with obs.span("sim.time_energy", chunk=chunk):
-        if resolved.jit and not sensitivities and sram_scale == 1.0:
-            kernel = resolved.njit(_fused_rows_loop_nest, parallel=True)
-            kernel(
-                unique.compute_cycles,
-                unique.idle_slots,
-                unique.stream_bytes,
-                unique.act_dram_bytes,
-                unique.refill_bytes,
-                unique.sram_act_bytes,
-                macs,
-                batch,
-                unique.inverse_mapping,
-                unique.inverse_cache,
-                sustained,
-                on_chip,
-                layer_overhead.astype(np.float64),
-                inference_overhead.astype(np.float64),
-                clock_hz,
-                static_power,
-                np.asarray(table.model_offsets, dtype=np.int64),
-                latency_ms,
-                energy_mj,
-            )
-        else:
-            _fused_rows_numpy(
-                unique,
-                table,
-                chunk,
-                batch,
-                sustained,
-                on_chip,
-                layer_overhead,
-                inference_overhead,
-                clock_hz,
-                static_power,
-                macs,
-                sram_scale,
-                latency_ms,
-                energy_mj,
-            )
+        _fused_rows_numpy(
+            unique,
+            table,
+            chunk,
+            batch,
+            sustained,
+            on_chip,
+            layer_overhead,
+            inference_overhead,
+            clock_hz,
+            static_power,
+            macs,
+            sram_scale,
+            latency_ms,
+            energy_mj,
+        )
 
         energy_mj[~params.available] = np.nan
 
@@ -446,8 +394,8 @@ def _fused_rows_numpy(
     are threaded through the whole timing+energy chain with ``out=`` kernels
     — no temporary of that shape is allocated inside the loop on the exact
     (``sram_scale == 1``) path.  All batch multiplies happen on the integer
-    gathers before the float coefficients touch them, preserving the staged
-    kernels' ``pj * int`` association order bit-for-bit.
+    gathers before the float coefficients touch them, preserving the scalar
+    engine's ``pj * int`` association order.
     """
     num_configs = latency_ms.shape[0]
     num_layers = unique.compute_cycles.shape[-1]
@@ -509,7 +457,7 @@ def _fused_rows_numpy(
             out=latency_ms[begin:end],
         )
 
-        # Energy: same terms, same association order as layer_energy_table.
+        # Energy: same terms, same association order as layer_energy_mj.
         # SRAM bytes = stored weights (stream + refill) + batch * activations.
         sram_b = np.multiply(g_sram[rows], b, out=g_sram[rows])
         sram_b += g_stream[rows]
@@ -588,68 +536,3 @@ def _sensitivity_pass(
         )
     return dlat_dclock, dlat_dsram
 
-
-def _fused_rows_loop_nest(
-    compute_cycles_u,
-    idle_slots_u,
-    stream_bytes_u,
-    act_dram_u,
-    refill_bytes_u,
-    sram_act_u,
-    macs,
-    batch,
-    inverse_mapping,
-    inverse_cache,
-    sustained,
-    on_chip,
-    layer_overhead,
-    inference_overhead,
-    clock_hz,
-    static_power,
-    model_offsets,
-    latency_ms,
-    energy_mj,
-):
-    """Scalar loop nest over (config, model, layer) — the numba body.
-
-    Written in the njit-compatible subset (explicit loops, no fancy
-    indexing) and decorated lazily by the numba backend with
-    ``@njit(parallel=True)``; as plain Python it computes the same values
-    (sequential per-segment accumulation matches ``np.add.reduceat``), which
-    is how its semantics are tested where numba is not installed.  All batch
-    multiplies stay integer until the pJ coefficients apply, matching the
-    staged kernels' association order exactly.
-    """
-    num_configs = latency_ms.shape[0]
-    num_models = model_offsets.shape[0] - 1
-    for c in prange(num_configs):
-        im = inverse_mapping[c]
-        ic = inverse_cache[c]
-        b = batch[c]
-        sus = sustained[c]
-        ocb = on_chip[c]
-        overhead = layer_overhead[c]
-        for m in range(num_models):
-            cycles_sum = 0.0
-            energy_sum = 0.0
-            for row in range(model_offsets[m], model_offsets[m + 1]):
-                dram_bytes = stream_bytes_u[ic, row] + b * act_dram_u[ic, row]
-                dram_cycles = dram_bytes / sus
-                refill_cycles = refill_bytes_u[ic, row] / ocb
-                memory = max(dram_cycles, refill_cycles)
-                cycles_sum += max(float(b * compute_cycles_u[im, row]), memory) + overhead
-                sram_bytes = (
-                    stream_bytes_u[ic, row]
-                    + refill_bytes_u[ic, row]
-                    + b * sram_act_u[ic, row]
-                )
-                energy_sum += (
-                    _MAC_PJ * (b * macs[row])
-                    + _IDLE_LANE_PJ * (b * idle_slots_u[im, row])
-                    + _SRAM_BYTE_PJ * sram_bytes
-                    + _DRAM_BYTE_PJ * dram_bytes
-                ) * _PJ_TO_MJ
-            model_cycles = inference_overhead[c] + cycles_sum
-            lat = model_cycles / clock_hz[c] * 1e3
-            latency_ms[c, m] = lat
-            energy_mj[c, m] = energy_sum + static_power[c] * lat

@@ -168,7 +168,6 @@ def evaluate_dataset(
     enable_parameter_caching: bool = True,
     progress_callback: Callable[[str, int, int], None] | None = None,
     strategy: str = "vectorized",
-    n_jobs: int = 1,
     store=None,
 ) -> MeasurementSet:
     """Simulate every model of *dataset* on every configuration.
@@ -186,17 +185,13 @@ def evaluate_dataset(
         Optional ``callback(config_name, done, total)`` hook for long sweeps.
         The scalar walk ticks every 500 models plus a guaranteed final
         ``(total, total)`` tick; the vectorized engine reports once per
-        completed configuration, or per shard when sharded (``n_jobs > 1``
-        or a *store*).
+        completed configuration, or per shard with a *store*.
     strategy:
         ``"vectorized"`` (default) dispatches to the structure-of-arrays
         :class:`~repro.simulator.batch.BatchSimulator`; ``"scalar"`` walks the
         population one model at a time through the
         :class:`PerformanceSimulator` (escape hatch, used by the equivalence
         tests and throughput benchmarks).
-    n_jobs:
-        Number of worker processes sharding the vectorized sweep over model
-        ranges (ignored by the scalar strategy).
     store:
         Optional :class:`~repro.service.store.MeasurementStore` making the
         vectorized sweep resumable: shards already on disk are loaded and
@@ -209,7 +204,6 @@ def evaluate_dataset(
         return BatchSimulator(enable_parameter_caching=enable_parameter_caching).evaluate(
             dataset,
             configs=configs,
-            n_jobs=n_jobs,
             progress_callback=progress_callback,
             store=store,
         )

@@ -20,6 +20,7 @@ from repro.core.autodiff import (
     power,
     relu,
     segment_sum,
+    segment_sum_rows,
     subtract,
     tensor_sum,
 )
@@ -191,3 +192,40 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         mean(x).backward()
         assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
+
+
+class TestSegmentSumRows:
+    """The sorted ``reduceat`` fast path against the ``np.add.at`` reference."""
+
+    def _reference_segment_sum(self, values, segment_ids, num_segments):
+        out = np.zeros((num_segments,) + values.shape[1:], dtype=values.dtype)
+        np.add.at(out, segment_ids, values)
+        return out
+
+    def test_sorted_segment_sum_matches_scatter_reference(self):
+        rng = np.random.default_rng(0)
+        values = rng.random((200, 3))
+        # Sorted ids with empty segments on both ends and in the middle.
+        segment_ids = np.sort(rng.integers(1, 9, size=200))
+        result = segment_sum_rows(values, segment_ids, 11, sorted_ids=True)
+        # reduceat and add.at differ only in association order: equal to
+        # roundoff, not bit-for-bit.
+        np.testing.assert_allclose(
+            result, self._reference_segment_sum(values, segment_ids, 11), rtol=1e-9
+        )
+        empty = np.flatnonzero(np.bincount(segment_ids, minlength=11) == 0)
+        assert empty.size and not result[empty].any()
+
+    def test_wrong_sorted_hint_still_sums_correctly(self):
+        rng = np.random.default_rng(1)
+        values = rng.random((64, 2))
+        segment_ids = rng.integers(0, 5, size=64)  # NOT sorted
+        result = segment_sum_rows(values, segment_ids, 5, sorted_ids=True)
+        np.testing.assert_allclose(
+            result, self._reference_segment_sum(values, segment_ids, 5), rtol=1e-9
+        )
+
+    def test_empty_values_give_zero_segments(self):
+        result = segment_sum_rows(np.empty((0, 4)), np.empty(0, dtype=np.int64), 3)
+        assert result.shape == (3, 4)
+        assert not result.any()

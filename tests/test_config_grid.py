@@ -2,10 +2,11 @@
 
 The grid path (:meth:`BatchSimulator.evaluate_table_grid`, one
 ``(num_configs, num_layers)`` pass) must be **bit-for-bit** the per-config
-loop (:meth:`BatchSimulator.evaluate_table`, the equivalence oracle kept
-from PR 1): both run the same kernels over the same float64/int64 values,
-only with the configuration scalars broadcast as columns, so exact equality
-— not a tolerance — is asserted throughout.
+loop (:meth:`BatchSimulator.evaluate_table`): both run the fused kernel over
+the same float64/int64 values, only with the configuration scalars broadcast
+as columns, so exact equality — not a tolerance — is asserted between them.
+Against the scalar :class:`PerformanceSimulator` oracle the grid results
+agree within 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.errors import InvalidConfigError
 from repro.nasbench import NASBenchDataset
 from repro.nasbench.layer_table import LayerTable
 from repro.service import MeasurementStore
-from repro.simulator import BatchSimulator
+from repro.simulator import BatchSimulator, PerformanceSimulator
 
 #: Three studied classes plus three mutated designs covering the clock,
 #: geometry, lane and cache-fraction axes (>= 3 mutated configurations).
@@ -116,15 +117,23 @@ class TestGridEquivalence:
             np.testing.assert_array_equal(measurements.latencies(config.name), latency)
             np.testing.assert_array_equal(measurements.energies(config.name), energy)
 
-    def test_store_extend_persists_grid_results(self, grid_dataset, grid_table, tmp_path):
+    def test_store_extend_persists_grid_results(self, grid_dataset, tmp_path):
         store = MeasurementStore(tmp_path, shard_size=12)
-        simulator = BatchSimulator()
         measurements = store.extend(grid_dataset, configs=GRID_CONFIGS)
         assert store.stats.pairs_simulated == 3 * len(GRID_CONFIGS)
+        networks = [record.build_network(grid_dataset.network_config) for record in grid_dataset]
         for config in GRID_CONFIGS:
-            latency, energy = simulator.evaluate_table(grid_table, config)
-            np.testing.assert_array_equal(measurements.latencies(config.name), latency)
-            np.testing.assert_array_equal(measurements.energies(config.name), energy)
+            scalar = [PerformanceSimulator(config).simulate(network) for network in networks]
+            np.testing.assert_allclose(
+                measurements.latencies(config.name),
+                [run.latency_ms for run in scalar],
+                rtol=1e-9,
+            )
+            np.testing.assert_allclose(
+                measurements.energies(config.name),
+                [np.nan if run.energy_mj is None else run.energy_mj for run in scalar],
+                rtol=1e-9,
+            )
         # A rerun over the warm store loads every pair and simulates nothing.
         warm = MeasurementStore(tmp_path, shard_size=12)
         warm.extend(grid_dataset, configs=GRID_CONFIGS)

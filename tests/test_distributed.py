@@ -278,10 +278,18 @@ class TestSweepWorker:
         assert result.pairs_simulated == len(manifest.pairs) - 1
         assert result.leases_stolen == 0
 
-    def test_unknown_strategy_rejected(self, tmp_path, queue_dataset):
-        publish(tmp_path, queue_dataset)
-        with pytest.raises(ServiceError, match="strategy"):
-            SweepWorker(tmp_path, strategy="warp-drive")
+    def test_manifest_with_legacy_strategy_key_drains(self, tmp_path, queue_dataset, reference):
+        # Manifests written before the single fused kernel carry a
+        # "strategy" field; they must still load and drain.
+        _, manifest = publish(tmp_path, queue_dataset)
+        path = next(tmp_path.glob("manifest-*.json"))
+        payload = json.loads(path.read_text())
+        assert "strategy" not in payload
+        payload["strategy"] = "staged"
+        path.write_text(json.dumps(payload))
+        result = SweepWorker(tmp_path, owner="legacy", poll_seconds=0.05).run()
+        assert result.pairs_simulated == len(manifest.pairs)
+        assert_store_matches_reference(tmp_path, queue_dataset, reference)
 
     def test_traced_drain_merges_to_exact_fleet_counts(
         self, tmp_path, queue_dataset, reference

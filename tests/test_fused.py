@@ -1,33 +1,34 @@
-"""Fused compile-and-time kernel: parity with the staged oracle, duals vs FD.
+"""Fused compile-and-time kernel: parity with the scalar oracle, duals vs FD.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
-* **bit-for-bit parity** — the fused single-pass kernel must reproduce the
-  staged per-stage grid pipeline exactly (not to a tolerance) in both
-  parameter-caching modes, on a grid including the three mutated designs
-  covering the clock / geometry / cache-fraction axes;
-* **loop-nest semantics** — the ``@njit(parallel=True)`` loop nest is a
-  plain-Python function until numba compiles it, so its semantics are tested
-  here without numba (via a jit-capable stub backend whose ``njit`` is the
-  identity) and, when numba is installed, through the real compiled kernel;
+* **scalar-oracle parity** — the fused kernel, the production
+  implementation of mapping → cache → timing → energy, must reproduce the
+  scalar :class:`~repro.simulator.PerformanceSimulator` within 1e-9
+  relative in both parameter-caching modes, on the studied classes plus
+  mutated designs and on random cells × random accelerator grids (including
+  batch size and bit-widths); energy is NaN exactly where the configuration
+  has no energy model;
 * **forward-mode sensitivities vs central finite differences** — the clock
-  dual against the *real* staged pipeline re-run at perturbed clocks, the
-  SRAM dual against the relaxed frozen-plan model it differentiates
-  (``sram_scale``), both at 1e-6 relative tolerance.
+  dual against the fused primal re-run at perturbed clocks, the SRAM dual
+  against the relaxed frozen-plan model it differentiates (``sram_scale``),
+  both at 1e-6 relative tolerance.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, STUDIED_CONFIGS
-from repro.core.backend import ArrayBackend, available_backends
-from repro.errors import SimulationError
-from repro.nasbench import NASBenchDataset
+from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, EDGE_TPU_V3, STUDIED_CONFIGS
+from repro.arch.energy import energy_parameters_for
+from repro.hwspace import AcceleratorSpace
+from repro.nasbench import NASBenchDataset, build_network, random_cell
 from repro.nasbench.layer_table import LayerTable
-from repro.simulator import GRID_STRATEGIES, BatchSimulator, compile_and_time_table
-from repro.simulator.fused import _fused_rows_loop_nest
+from repro.simulator import BatchSimulator, PerformanceSimulator, compile_and_time_table
+
+RTOL = 1e-9
 
 #: Studied classes plus three mutated designs (clock, geometry, cache axes).
 MUTATED_CONFIGS = [
@@ -39,6 +40,19 @@ MUTATED_CONFIGS = [
 ]
 PARITY_CONFIGS = list(STUDIED_CONFIGS.values()) + MUTATED_CONFIGS
 
+#: Candidate values per grid axis for the random-grid property.
+GRID_AXES = {
+    "clock_mhz": [600.0, 800.0, 1250.0],
+    "pes_x": [2, 4, 8],
+    "cores_per_pe": [2, 4],
+    "compute_lanes": [32, 64],
+    "pe_memory_cache_fraction": [0.0, 0.25, 0.75],
+    "io_bandwidth_gbps": [4.0, 16.0],
+    "batch_size": [1, 2, 8],
+    "weight_bits": [4, 8, 16],
+    "activation_bits": [4, 8, 16],
+}
+
 
 @pytest.fixture(scope="module")
 def fused_dataset():
@@ -46,36 +60,59 @@ def fused_dataset():
 
 
 @pytest.fixture(scope="module")
-def fused_table(fused_dataset):
-    networks = [record.build_network(fused_dataset.network_config) for record in fused_dataset]
-    return LayerTable.from_networks(networks)
+def fused_networks(fused_dataset):
+    return [record.build_network(fused_dataset.network_config) for record in fused_dataset]
 
 
-class _IdentityJitBackend(ArrayBackend):
-    """jit-capable backend whose "compiler" is the identity.
+@pytest.fixture(scope="module")
+def fused_table(fused_networks):
+    return LayerTable.from_networks(fused_networks)
 
-    Forces :func:`compile_and_time_table` down the loop-nest branch while
-    executing it as plain Python — the loop nest's semantics are then
-    testable in environments without numba.
-    """
 
-    name = "identity-jit"
-    jit = True
-
-    def njit(self, function, parallel: bool = True):
-        return function
+def assert_matches_scalar(result, networks, configs, caching=True):
+    """Every (config, model) cell of a fused result against the scalar engine."""
+    for index, config in enumerate(configs):
+        simulator = PerformanceSimulator(config, enable_parameter_caching=caching)
+        scalar = [simulator.simulate(network) for network in networks]
+        np.testing.assert_allclose(
+            result.latency_ms[index], [run.latency_ms for run in scalar], rtol=RTOL
+        )
+        if energy_parameters_for(config).available:
+            np.testing.assert_allclose(
+                result.energy_mj[index], [run.energy_mj for run in scalar], rtol=RTOL
+            )
+        else:
+            assert all(run.energy_mj is None for run in scalar)
+            assert np.isnan(result.energy_mj[index]).all()
 
 
 class TestFusedParity:
     @pytest.mark.parametrize("caching", [True, False])
-    def test_fused_matches_staged_bit_for_bit(self, fused_table, caching):
-        staged = BatchSimulator(enable_parameter_caching=caching, strategy="staged")
-        staged_latency, staged_energy = staged.evaluate_table_grid(fused_table, PARITY_CONFIGS)
+    def test_fused_matches_scalar_oracle(self, fused_networks, fused_table, caching):
         result = compile_and_time_table(
             fused_table, PARITY_CONFIGS, enable_parameter_caching=caching
         )
-        np.testing.assert_array_equal(result.latency_ms, staged_latency)
-        np.testing.assert_array_equal(result.energy_mj, staged_energy)
+        assert_matches_scalar(result, fused_networks, PARITY_CONFIGS, caching)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        cell_seed=st.integers(min_value=0, max_value=10**6),
+        axes=st.lists(st.sampled_from(sorted(GRID_AXES)), min_size=1, max_size=3, unique=True),
+        data=st.data(),
+    )
+    def test_random_cells_on_random_grids_match_scalar(self, cell_seed, axes, data):
+        rng = np.random.default_rng(cell_seed)
+        networks = [build_network(random_cell(rng)) for _ in range(3)]
+        grid = {
+            name: data.draw(
+                st.lists(st.sampled_from(GRID_AXES[name]), min_size=1, max_size=2, unique=True)
+            )
+            for name in axes
+        }
+        # The studied V3 has no published energy model; every grid point does.
+        configs = list(AcceleratorSpace(grid).enumerate()) + [EDGE_TPU_V3]
+        result = compile_and_time_table(LayerTable.from_networks(networks), configs)
+        assert_matches_scalar(result, networks, configs)
 
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
     def test_chunking_does_not_change_results(self, fused_table, chunk):
@@ -85,52 +122,10 @@ class TestFusedParity:
         np.testing.assert_array_equal(chunked.energy_mj, baseline.energy_mj)
 
     def test_batch_simulator_routes_grid_through_fused_by_default(self, fused_table):
-        assert GRID_STRATEGIES == ("fused", "staged")
-        fused_sim = BatchSimulator()
-        assert fused_sim.strategy == "fused"
-        latency, energy = fused_sim.evaluate_table_grid(fused_table, PARITY_CONFIGS)
+        latency, energy = BatchSimulator().evaluate_table_grid(fused_table, PARITY_CONFIGS)
         result = compile_and_time_table(fused_table, PARITY_CONFIGS)
         np.testing.assert_array_equal(latency, result.latency_ms)
         np.testing.assert_array_equal(energy, result.energy_mj)
-
-    def test_unknown_strategy_is_rejected(self):
-        with pytest.raises(SimulationError, match="strategy"):
-            BatchSimulator(strategy="warp-speed")
-
-    @pytest.mark.parametrize("caching", [True, False])
-    def test_loop_nest_plain_python_matches_numpy_path(self, fused_table, caching):
-        reference = compile_and_time_table(
-            fused_table, PARITY_CONFIGS, enable_parameter_caching=caching
-        )
-        looped = compile_and_time_table(
-            fused_table,
-            PARITY_CONFIGS,
-            enable_parameter_caching=caching,
-            backend=_IdentityJitBackend(),
-        )
-        np.testing.assert_allclose(
-            looped.latency_ms, reference.latency_ms, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(looped.energy_mj, reference.energy_mj, rtol=1e-9, equal_nan=True)
-
-    @pytest.mark.skipif(
-        "numba" not in available_backends(), reason="numba not installed in this environment"
-    )
-    def test_numba_backend_parity(self, fused_table):
-        reference = compile_and_time_table(fused_table, PARITY_CONFIGS, backend="numpy")
-        compiled = compile_and_time_table(fused_table, PARITY_CONFIGS, backend="numba")
-        np.testing.assert_allclose(
-            compiled.latency_ms, reference.latency_ms, rtol=1e-9, equal_nan=True
-        )
-        np.testing.assert_allclose(
-            compiled.energy_mj, reference.energy_mj, rtol=1e-9, equal_nan=True
-        )
-
-    def test_loop_nest_is_importable_plain_function(self):
-        # The symbol the jit branch compiles must stay a plain function so
-        # the identity-jit test above really covers the compiled semantics.
-        assert callable(_fused_rows_loop_nest)
-        assert getattr(_fused_rows_loop_nest, "__wrapped__", None) is None
 
 
 class TestSensitivities:
@@ -139,21 +134,19 @@ class TestSensitivities:
         assert result.dlatency_dclock_ghz is None
         assert result.dlatency_dsram_byte is None
 
-    def test_clock_dual_matches_staged_finite_difference(self, fused_table):
+    def test_clock_dual_matches_fused_finite_difference(self, fused_table):
         result = compile_and_time_table(fused_table, MUTATED_CONFIGS, sensitivities=True)
-        simulator = BatchSimulator(strategy="staged")
         h_mhz = 0.05  # +- 50 kHz around each design's clock
-        for index, config in enumerate(MUTATED_CONFIGS):
-            plus, _ = simulator.evaluate_table(
-                fused_table, config.with_overrides(clock_mhz=config.clock_mhz + h_mhz)
-            )
-            minus, _ = simulator.evaluate_table(
-                fused_table, config.with_overrides(clock_mhz=config.clock_mhz - h_mhz)
-            )
-            fd = (plus - minus) / (2.0 * h_mhz * 1e-3)  # per GHz
-            np.testing.assert_allclose(
-                result.dlatency_dclock_ghz[index], fd, rtol=1e-6, atol=1e-9
-            )
+
+        def shifted(delta_mhz):
+            configs = [
+                config.with_overrides(clock_mhz=config.clock_mhz + delta_mhz)
+                for config in MUTATED_CONFIGS
+            ]
+            return compile_and_time_table(fused_table, configs).latency_ms
+
+        fd = (shifted(h_mhz) - shifted(-h_mhz)) / (2.0 * h_mhz * 1e-3)  # per GHz
+        np.testing.assert_allclose(result.dlatency_dclock_ghz, fd, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("caching", [True, False])
     def test_sram_dual_matches_relaxed_model_finite_difference(self, fused_table, caching):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import TrainingSettings
 from repro.errors import DatasetError, ServiceError, SimulationError
 from repro.nasbench import NASBenchDataset, sample_unique_cells
@@ -121,26 +124,6 @@ class TestMeasurementStore:
         np.testing.assert_allclose(
             measurements.latencies("V1"), direct_measurements.latencies("V1"), rtol=1e-9
         )
-
-    def test_parallel_extend_matches_and_persists(
-        self, tmp_path, store_dataset, direct_measurements
-    ):
-        store = make_store(tmp_path)
-        ticks = []
-        measurements = store.extend(
-            store_dataset, configs=CONFIGS, n_jobs=2,
-            progress_callback=lambda name, done, total: ticks.append((name, done, total)),
-        )
-        assert store.stats.pairs_simulated == 4 * len(CONFIGS)
-        assert_matches_reference(measurements, direct_measurements)
-        for name in CONFIGS:
-            counts = [done for tick_name, done, _ in ticks if tick_name == name]
-            assert counts == sorted(counts)
-            assert counts[-1] == len(store_dataset)
-        # ... and a second parallel run is pure loading.
-        warm = make_store(tmp_path)
-        warm.extend(store_dataset, configs=CONFIGS, n_jobs=2)
-        assert warm.stats.pairs_simulated == 0
 
     def test_load_refuses_cold_store(self, tmp_path, store_dataset):
         with pytest.raises(ServiceError, match="missing"):
@@ -295,6 +278,31 @@ class TestCompaction:
         store.compact(store_dataset, configs=("V1",))
         other_mode = make_store(tmp_path, enable_parameter_caching=False)
         assert other_mode.missing_pairs(store_dataset, configs=("V1",)) != []
+
+    def test_unusable_compacted_index_reads_as_misses(
+        self, tmp_path, store_dataset, direct_measurements
+    ):
+        store = self.warm_store(tmp_path, store_dataset, configs=("V1", "V2"))
+        result = store.compact(store_dataset, configs=("V1", "V2"))
+        index = json.loads(result.index_path.read_text())
+        # An entry without its column offset, in an otherwise valid index ...
+        del index["entries"][0]["offset"]
+        result.index_path.write_text(json.dumps(index))
+        # ... plus a second index file truncated mid-write.
+        truncated = tmp_path / "shard-compact-0000.json"
+        truncated.write_text(result.index_path.read_text()[:40])
+        make_store(tmp_path).sweep(store_dataset, configs=("V3",))
+        with obs.capture(tmp_path / "trace") as tracer:
+            store = make_store(tmp_path)
+            measurements = store.extend(store_dataset, configs=CONFIGS)
+        assert tracer.event_counts["store.compact_index_skipped"] == 2
+        summary = obs.trace_summary(tmp_path / "trace")
+        assert summary.counters["store.compact_index_skipped"] == 2
+        # The skipped entry's pair is a miss and is re-simulated; every other
+        # pair still comes from the compacted file or the loose V3 shards.
+        assert store.stats.pairs_simulated == 1
+        assert store.stats.pairs_compacted == 2 * 4 - 1
+        assert_matches_reference(measurements, direct_measurements)
 
     def test_compacted_rows_are_copies_not_mmap_views(self, tmp_path, store_dataset):
         # Callers mutate measurement arrays (analysis normalizes in place);

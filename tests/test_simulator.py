@@ -15,6 +15,7 @@ from repro.nasbench import (
     build_network,
     random_cell,
 )
+from repro.service import MeasurementStore
 from repro.simulator import (
     MeasurementSet,
     PerformanceSimulator,
@@ -269,12 +270,13 @@ class TestProgressReporting:
                          progress_callback=vectorized)
         assert scalar.ticks[-1] == vectorized.ticks[-1] == ("V1", 12, 12)
 
-    def test_sharded_sweep_reports_per_shard(self, tiny):
-        # Regression: n_jobs > 1 previously fired every tick only after all
-        # shards had completed; now each resolving future ticks.
+    def test_sharded_sweep_reports_per_shard(self, tiny, tmp_path):
+        # A store-backed sweep ticks as each shard completes, not once at
+        # the end of the whole sweep.
         recorder = RecordingCallback()
         evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V3], n_jobs=3,
+            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V3],
+            store=MeasurementStore(tmp_path, shard_size=4),
             progress_callback=recorder,
         )
         for name in ("V1", "V3"):
