@@ -1,11 +1,13 @@
-"""Sweep throughput: scalar walk vs the vectorized batch engine.
+"""Sweep throughput: scalar oracle walk vs the vectorized batch engine.
 
 The paper's headline experiment needs ~1.5M latency simulations; this
 benchmark tracks how fast the reproduction can sweep its population
 (models/sec, counting one model as one model simulated on *all* studied
-configurations).  The scalar rate is measured on a subset and the vectorized
-rate on the full shared bench population; the vectorized engine must beat
-the scalar walk by at least 5x.
+configurations).  The scalar rate is a per-model
+:class:`~repro.simulator.PerformanceSimulator` loop (network expansion
+included) measured on a subset, the vectorized rate
+:func:`~repro.simulator.evaluate_dataset` on the full shared bench
+population; the vectorized engine must beat the scalar walk by at least 5x.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.nasbench import NASBenchDataset
-from repro.simulator import evaluate_dataset
+from repro.simulator import PerformanceSimulator, evaluate_dataset
 
 from _reporting import report, report_json
 
@@ -23,29 +24,37 @@ from _reporting import report, report_json
 SCALAR_SUBSET_MODELS = int(os.environ.get("REPRO_BENCH_SCALAR_MODELS", "120"))
 
 
-def _sweep_rate(dataset, configs, **kwargs) -> tuple[float, float]:
-    """Run one full sweep and return (models/sec, elapsed seconds)."""
+def _timed_rate(sweep, num_models: int) -> tuple[float, float]:
+    """Run *sweep* once and return (models/sec, elapsed seconds)."""
     start = time.perf_counter()
-    evaluate_dataset(dataset, configs=configs, **kwargs)
+    sweep()
     elapsed = time.perf_counter() - start
-    return len(dataset) / elapsed, elapsed
+    return num_models / elapsed, elapsed
+
+
+def _scalar_sweep(records, network_config, configs) -> None:
+    """The per-model oracle walk: expand each network once, simulate per config."""
+    networks = [record.build_network(network_config) for record in records]
+    for config in configs:
+        simulator = PerformanceSimulator(config)
+        for network in networks:
+            simulator.simulate(network)
 
 
 def test_sweep_throughput(benchmark, bench_dataset, bench_configs):
     configs = list(bench_configs.values())
-    subset = NASBenchDataset(
-        bench_dataset.records[:SCALAR_SUBSET_MODELS], bench_dataset.network_config
+    subset = bench_dataset.records[:SCALAR_SUBSET_MODELS]
+
+    scalar_rate, scalar_elapsed = _timed_rate(
+        lambda: _scalar_sweep(subset, bench_dataset.network_config, configs), len(subset)
     )
 
-    scalar_rate, scalar_elapsed = _sweep_rate(subset, configs, strategy="scalar")
+    def vectorized_sweep():
+        evaluate_dataset(bench_dataset, configs=configs)
 
     # The vectorized sweep is the tracked benchmark metric.
-    benchmark.pedantic(
-        lambda: evaluate_dataset(bench_dataset, configs=configs, strategy="vectorized"),
-        rounds=1,
-        iterations=1,
-    )
-    vectorized_rate, vectorized_elapsed = _sweep_rate(bench_dataset, configs, strategy="vectorized")
+    benchmark.pedantic(vectorized_sweep, rounds=1, iterations=1)
+    vectorized_rate, vectorized_elapsed = _timed_rate(vectorized_sweep, len(bench_dataset))
 
     benchmark.extra_info["scalar_models_per_sec"] = round(scalar_rate, 1)
     benchmark.extra_info["vectorized_models_per_sec"] = round(vectorized_rate, 1)

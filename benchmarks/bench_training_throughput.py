@@ -1,4 +1,4 @@
-"""Training throughput: pack-once GraphTable vs legacy per-list batching.
+"""Training throughput: pack-once GraphTable vs per-list batching.
 
 Four measurements, mirroring `bench_sweep_throughput.py` on the learned-
 model side of the stack:
@@ -9,8 +9,7 @@ model side of the stack:
   (`slice_batch` vs per-step `batch_graphs` list concatenation), and forming
   the whole-population batch used by single-pass inference (`to_batched`,
   O(1), vs re-concatenating every graph);
-* **training** — wall-clock per epoch for `train_model` with
-  `strategy="packed"` vs `strategy="list"` (bit-for-bit the same numerics);
+* **training** — wall-clock per epoch for `train_model` on the packed table;
 * **pipeline** — a full `run_experiment` call cold vs warm cache, which is
   the smoke-mode path CI exercises.
 
@@ -89,20 +88,13 @@ def test_training_throughput(benchmark, tmp_path):
     packed_full_batch = (time.perf_counter() - start) / FORMATION_ROUNDS
 
     # --- training: full epochs through the autodiff graph -----------------
-    start = time.perf_counter()
-    train_model(
-        EncodeProcessDecode(seed=1), graphs, targets,
-        epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0, strategy="list",
-    )
-    legacy_train = time.perf_counter() - start
-
     packed_timings = []
 
     def packed_training():
         start = time.perf_counter()
         train_model(
             EncodeProcessDecode(seed=1), table, targets,
-            epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0, strategy="packed",
+            epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0,
         )
         packed_timings.append(time.perf_counter() - start)
 
@@ -132,11 +124,10 @@ def test_training_throughput(benchmark, tmp_path):
     )
     benchmark.extra_info["full_batch_speedup"] = round(legacy_full_batch / packed_full_batch, 1)
     benchmark.extra_info["packed_epoch_seconds"] = round(packed_train / EPOCHS, 4)
-    benchmark.extra_info["legacy_epoch_seconds"] = round(legacy_train / EPOCHS, 4)
     benchmark.extra_info["pipeline_warm_speedup"] = round(cold_pipeline / warm_pipeline, 1)
 
     lines = [
-        "Training throughput — packed GraphTable vs legacy list batching",
+        "Training throughput — packed GraphTable vs per-list batching",
         f"({len(cells)} graphs, batch {BATCH_SIZE}, {EPOCHS} epochs; pipeline on "
         f"{experiment.population.num_models} models; featurize "
         f"{featurize_rate:.0f} graphs/sec, one-time pack {pack_elapsed * 1e3:.2f} ms)",
@@ -147,8 +138,7 @@ def test_training_throughput(benchmark, tmp_path):
         f"{'whole-population batch (ms)':<36}{packed_full_batch * 1e3:>12.3f}"
         f"{legacy_full_batch * 1e3:>12.3f}"
         f"{legacy_full_batch / packed_full_batch:>10.1f}",
-        f"{'train epoch (s)':<36}{packed_train / EPOCHS:>12.3f}"
-        f"{legacy_train / EPOCHS:>12.3f}{legacy_train / packed_train:>10.1f}",
+        f"{'train epoch (s)':<36}{packed_train / EPOCHS:>12.3f}{'-':>12}{'-':>10}",
         f"{'pipeline run (s)':<36}{warm_pipeline:>12.3f}"
         f"{cold_pipeline:>12.3f}{cold_pipeline / warm_pipeline:>10.1f}",
         "(pipeline 'packed' column is the warm-cache re-run, 'legacy' the cold run)",
@@ -173,8 +163,4 @@ def test_training_throughput(benchmark, tmp_path):
         assert packed_full_batch * 5.0 <= legacy_full_batch, (
             f"whole-population batch only "
             f"{legacy_full_batch / packed_full_batch:.1f}x the legacy concat"
-        )
-        assert packed_train <= 1.2 * legacy_train, (
-            f"packed training slower than legacy: {packed_train:.3f}s vs "
-            f"{legacy_train:.3f}s"
         )

@@ -8,13 +8,8 @@ quickly at all depths.
 
 The loop runs on the pack-once :class:`~repro.core.graph_table.GraphTable`
 representation: the dataset's graphs are flattened into shared arrays a single
-time and every mini-batch is an array slice of that table
-(``strategy="packed"``, the default).  The legacy per-list path — rebuilding a
-:class:`~repro.core.graph_net.BatchedGraphs` from a Python list of
-:class:`GraphTuple` on every step — is kept as ``strategy="list"``; it is the
-reference implementation the equivalence tests and the training-throughput
-benchmark compare against, and both paths are bit-for-bit identical given the
-same seed.
+time and every mini-batch is an array slice of that table.  A sequence of
+:class:`GraphTuple` is accepted too and packed once on entry.
 """
 
 from __future__ import annotations
@@ -27,13 +22,13 @@ import numpy as np
 from ..errors import ModelError
 from .autodiff import Tensor, mse_loss
 from .features import GraphTuple
-from .graph_net import BatchedGraphs, batch_graphs
+from .graph_net import BatchedGraphs
 from .graph_table import GraphTable, as_graph_table
 from .model import EncodeProcessDecode
 from .optimizer import Adam
 
 #: Inputs accepted by the training/inference entry points: either a packed
-#: table or a legacy sequence of per-graph tuples.
+#: table or a sequence of per-graph tuples (packed once on entry).
 GraphSource = Union[GraphTable, Sequence[GraphTuple]]
 
 
@@ -167,11 +162,9 @@ def batched_loss(
     return loss * Tensor(1.0 / len(predictions))
 
 
-def _batch_loss(
-    model: EncodeProcessDecode, graphs: Sequence[GraphTuple], targets: np.ndarray
-) -> Tensor:
-    """Legacy per-list loss: re-batch *graphs*, then :func:`batched_loss`."""
-    return batched_loss(model, batch_graphs(graphs), targets)
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 1:
+        raise ModelError(f"batch_size must be at least 1, got {batch_size}")
 
 
 def evaluate_loss(
@@ -181,6 +174,7 @@ def evaluate_loss(
     batch_size: int = 256,
 ) -> float:
     """Average per-step MSE of *model* on a dataset (no gradient updates)."""
+    _check_batch_size(batch_size)
     if not isinstance(graphs, GraphTable) and len(graphs) == 0:
         return 0.0
     table = as_graph_table(graphs)
@@ -204,15 +198,12 @@ def train_model(
     batch_size: int = 16,
     learning_rate: float = 1e-3,
     seed: int = 0,
-    strategy: str = "packed",
 ) -> TrainingHistory:
     """Train *model* with minibatch Adam and return the loss history.
 
     Targets are expected to be already normalized (see
-    :class:`TargetNormalizer`).  ``strategy="packed"`` (default) packs the
-    training set into a :class:`GraphTable` once and slices mini-batches out
-    of it; ``strategy="list"`` is the legacy per-step list-batching reference
-    path (requires sequence inputs) and produces bit-for-bit the same result.
+    :class:`TargetNormalizer`).  The training set is packed into a
+    :class:`GraphTable` once and every mini-batch is sliced out of it.
     """
     num_train = (
         train_graphs.num_graphs
@@ -223,12 +214,9 @@ def train_model(
         raise ModelError("training graphs and targets must have the same length")
     if num_train == 0:
         raise ModelError("training set is empty")
-    if strategy not in ("packed", "list"):
-        raise ModelError(f"unknown training strategy {strategy!r}")
-    if strategy == "list" and isinstance(train_graphs, GraphTable):
-        raise ModelError("strategy='list' requires a sequence of GraphTuple")
+    _check_batch_size(batch_size)
 
-    table = as_graph_table(train_graphs) if strategy == "packed" else None
+    table = as_graph_table(train_graphs)
 
     optimizer = Adam(model.parameters(), learning_rate=learning_rate)
     rng = np.random.default_rng(seed)
@@ -243,13 +231,8 @@ def train_model(
         epoch_loss, batches = 0.0, 0
         for start in range(0, len(order), batch_size):
             indices = order[start : start + batch_size]
-            if table is not None:
-                batched = table.slice_batch(indices)
-            else:
-                batched = batch_graphs([train_graphs[i] for i in indices])
-            targets = train_targets[indices]
             optimizer.zero_grad()
-            loss = batched_loss(model, batched, targets)
+            loss = batched_loss(model, table.slice_batch(indices), train_targets[indices])
             loss.backward()
             optimizer.step()
             epoch_loss += loss.item()
@@ -271,6 +254,8 @@ def predict(
     **single** batched forward pass over the packed table; pass an explicit
     batch size to chunk very large populations.
     """
+    if batch_size is not None:
+        _check_batch_size(batch_size)
     if not isinstance(graphs, GraphTable) and len(graphs) == 0:
         return np.zeros(0)
     table = as_graph_table(graphs)

@@ -6,10 +6,8 @@ Artifacts are keyed by the stable experiment hashes of
 * measurements live in a sharded, resumable
   :class:`~repro.service.store.MeasurementStore` embedded under the prefix
   ``measurements-<key>`` (per-shard npz files, cell fingerprints verified on
-  load) — the legacy whole-set ``load_measurements`` / ``save_measurements``
-  entry points are thin adapters over it, and :func:`run_experiment` goes
-  through the store directly so interrupted labeling sweeps resume instead
-  of restarting;
+  load), which :func:`run_experiment` sweeps through directly so
+  interrupted labeling sweeps resume instead of restarting;
 * ``model-<key>.npz`` — the flat state dict exported by
   :meth:`LearnedPerformanceModel.export_state` (weights, normalizer stats,
   split indices, loss history, raw targets).
@@ -25,10 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import PipelineError, ServiceError, SimulationError
-from ..nasbench.dataset import NASBenchDataset
+from ..errors import PipelineError, ServiceError
 from ..service.store import DEFAULT_SHARD_SIZE, MeasurementStore, read_npz, write_npz
-from ..simulator.runner import MeasurementSet
 
 
 @dataclass
@@ -69,7 +65,7 @@ class ExperimentCache:
         return self.root / f"model-{key}.npz"
 
     # ------------------------------------------------------------------ #
-    # Measurements (adapter over the sharded measurement store)
+    # Measurements (the sharded measurement store)
     # ------------------------------------------------------------------ #
     def measurement_store(
         self,
@@ -81,9 +77,7 @@ class ExperimentCache:
 
         Shards share the cache's flat root directory under the prefix
         ``measurements-<key>``, so one experiment's sweep is a set of files
-        rather than a monolithic archive; the experiment runner sweeps
-        through this store directly and only falls back to the whole-set
-        adapters below for legacy callers.
+        rather than a monolithic archive.
         """
         return MeasurementStore(
             self.root,
@@ -91,53 +85,6 @@ class ExperimentCache:
             enable_parameter_caching=enable_parameter_caching,
             prefix=f"measurements-{key}",
         )
-
-    def load_measurements(
-        self,
-        key: str,
-        dataset: NASBenchDataset,
-        enable_parameter_caching: bool = True,
-    ) -> MeasurementSet | None:
-        """Load the measurement set at *key*, verifying the population.
-
-        Returns ``None`` (a miss) when any shard is absent, corrupt, or has
-        cell fingerprints not matching *dataset* exactly.  The
-        *enable_parameter_caching* mode is part of every shard key and must
-        match the mode the measurements were saved with.
-        """
-        store = self.measurement_store(key, enable_parameter_caching=enable_parameter_caching)
-        config_names = store.available_configs()
-        if not config_names:
-            self.stats.measurement_misses += 1
-            return None
-        try:
-            measurements = store.load(dataset, configs=config_names)
-        except (ServiceError, SimulationError):
-            self.stats.measurement_misses += 1
-            return None
-        self.stats.measurement_hits += 1
-        return measurements
-
-    def save_measurements(
-        self,
-        key: str,
-        measurements: MeasurementSet,
-        enable_parameter_caching: bool = True,
-    ) -> Path:
-        """Persist a measurement set under *key* (shard-by-shard).
-
-        *enable_parameter_caching* must state the compiler mode the
-        measurements were simulated with — it enters every shard key, so a
-        mislabeled mode would poison later mode-checked loads.  Returns the
-        directory holding the shard files.
-        """
-        try:
-            self.measurement_store(
-                key, enable_parameter_caching=enable_parameter_caching
-            ).ingest(measurements)
-        except ServiceError as exc:
-            raise PipelineError(str(exc)) from exc
-        return self.root
 
     # ------------------------------------------------------------------ #
     # Trained models

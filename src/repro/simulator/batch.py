@@ -17,10 +17,10 @@ Every entry point runs the single fused kernel
 (:func:`~repro.simulator.fused.compile_and_time_table`); the scalar
 :class:`~repro.simulator.engine.PerformanceSimulator` is its test oracle, and
 the two agree within 1e-9 relative (only the reduction order of float sums
-differs).  :meth:`BatchSimulator.evaluate` returns the same
-:class:`~repro.simulator.runner.MeasurementSet` as
-:func:`~repro.simulator.runner.evaluate_dataset`, so all analysis and
-benchmark consumers are unchanged.
+differs).  :func:`~repro.simulator.runner.evaluate_dataset` is a facade
+over :meth:`BatchSimulator.evaluate`, which returns the
+:class:`~repro.simulator.runner.MeasurementSet` that the analysis and
+benchmark modules consume.
 """
 
 from __future__ import annotations
@@ -69,9 +69,8 @@ class BatchSimulator:
     ):
         """Simulate every model of *dataset* on every configuration.
 
-        Returns the same :class:`~repro.simulator.runner.MeasurementSet` as
-        the scalar sweep; *progress_callback* fires once per completed
-        configuration.
+        Returns a :class:`~repro.simulator.runner.MeasurementSet`;
+        *progress_callback* fires once per completed configuration.
 
         With *store* set, the sweep goes through a resumable
         :class:`~repro.service.store.MeasurementStore`: shards already on
@@ -102,7 +101,7 @@ class BatchSimulator:
         total = len(dataset)
 
         if total == 0:
-            # Mirror the scalar sweep: an empty population yields empty arrays.
+            # An empty population yields empty arrays.
             return MeasurementSet(
                 dataset,
                 {config.name: np.empty(0, dtype=float) for config in config_list},
@@ -148,7 +147,7 @@ class BatchSimulator:
 
         Row 0 of the fused kernel on ``[config]``.  Energy is NaN for
         configurations without a published energy model (V3), matching the
-        scalar sweep's convention.
+        scalar engine's ``energy_mj=None``.
         """
         result = compile_and_time_table(
             table, [config], enable_parameter_caching=self.enable_parameter_caching
@@ -169,8 +168,8 @@ class BatchSimulator:
         fused kernel of :func:`~repro.simulator.fused.compile_and_time_table`
         runs the whole mapping/cache/timing/energy chain once — bit-for-bit
         the per-config :meth:`evaluate_table` results.  Energy rows of
-        configurations without a published energy model are NaN, as in the
-        scalar sweep.
+        configurations without a published energy model are NaN, as in
+        :meth:`evaluate_table`.
         """
         config_table = ConfigTable.from_configs(configs)
         with obs.span(

@@ -4,19 +4,21 @@ The paper's headline experiment simulates every NASBench model on all three
 Edge TPU classes (Section 6, "Inference latency and energy measurements"):
 roughly 1.5 million latency measurements and 900 thousand energy measurements.
 :func:`evaluate_dataset` reproduces that sweep over a
-:class:`~repro.nasbench.dataset.NASBenchDataset`, and
-:class:`MeasurementSet` stores the aligned result arrays that the analysis
-and benchmark modules consume.
+:class:`~repro.nasbench.dataset.NASBenchDataset` through the vectorized
+:class:`~repro.simulator.batch.BatchSimulator`, and :class:`MeasurementSet`
+stores the aligned result arrays that the analysis and benchmark modules
+consume.  :func:`simulate_records` runs a handful of records through the
+scalar :class:`PerformanceSimulator` for per-layer detail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig
+from ..arch.config import AcceleratorConfig
 from ..errors import SimulationError
 from ..nasbench.dataset import ModelRecord, NASBenchDataset
 from .engine import PerformanceSimulator
@@ -167,10 +169,11 @@ def evaluate_dataset(
     configs: Iterable[AcceleratorConfig] | None = None,
     enable_parameter_caching: bool = True,
     progress_callback: Callable[[str, int, int], None] | None = None,
-    strategy: str = "vectorized",
     store=None,
 ) -> MeasurementSet:
     """Simulate every model of *dataset* on every configuration.
+
+    A thin facade over :meth:`repro.simulator.batch.BatchSimulator.evaluate`.
 
     Parameters
     ----------
@@ -182,74 +185,21 @@ def evaluate_dataset(
     enable_parameter_caching:
         Forwarded to the simulator; the paper's results have it enabled.
     progress_callback:
-        Optional ``callback(config_name, done, total)`` hook for long sweeps.
-        The scalar walk ticks every 500 models plus a guaranteed final
-        ``(total, total)`` tick; the vectorized engine reports once per
-        completed configuration, or per shard with a *store*.
-    strategy:
-        ``"vectorized"`` (default) dispatches to the structure-of-arrays
-        :class:`~repro.simulator.batch.BatchSimulator`; ``"scalar"`` walks the
-        population one model at a time through the
-        :class:`PerformanceSimulator` (escape hatch, used by the equivalence
-        tests and throughput benchmarks).
+        Optional ``callback(config_name, done, total)`` hook for long sweeps,
+        called once per completed configuration, or per shard with a *store*.
     store:
         Optional :class:`~repro.service.store.MeasurementStore` making the
-        vectorized sweep resumable: shards already on disk are loaded and
-        only missing (shard, configuration) pairs are simulated (rejected by
-        the scalar strategy).
+        sweep resumable: shards already on disk are loaded and only missing
+        (shard, configuration) pairs are simulated.
     """
-    if strategy == "vectorized":
-        from .batch import BatchSimulator  # deferred: batch imports MeasurementSet
+    from .batch import BatchSimulator  # deferred: batch imports MeasurementSet
 
-        return BatchSimulator(enable_parameter_caching=enable_parameter_caching).evaluate(
-            dataset,
-            configs=configs,
-            progress_callback=progress_callback,
-            store=store,
-        )
-    if strategy != "scalar":
-        raise SimulationError(
-            f"unknown sweep strategy {strategy!r}; expected 'vectorized' or 'scalar'"
-        )
-    if store is not None:
-        raise SimulationError(
-            "the scalar sweep strategy does not support a measurement store; "
-            "use strategy='vectorized'"
-        )
-
-    config_list: Sequence[AcceleratorConfig] = (
-        list(configs) if configs is not None else list(STUDIED_CONFIGS.values())
+    return BatchSimulator(enable_parameter_caching=enable_parameter_caching).evaluate(
+        dataset,
+        configs=configs,
+        progress_callback=progress_callback,
+        store=store,
     )
-    if not config_list:
-        raise SimulationError("no accelerator configurations were provided")
-
-    latencies: dict[str, np.ndarray] = {}
-    energies: dict[str, np.ndarray] = {}
-    total = len(dataset)
-
-    # Networks are built once and shared across configurations (they do not
-    # depend on the accelerator), instead of once per configuration.
-    networks = [record.build_network(dataset.network_config) for record in dataset]
-
-    for config in config_list:
-        simulator = PerformanceSimulator(config, enable_parameter_caching=enable_parameter_caching)
-        latency_array = np.empty(total, dtype=float)
-        energy_array = np.full(total, np.nan, dtype=float)
-        for index, network in enumerate(networks):
-            result = simulator.simulate(network)
-            latency_array[index] = result.latency_ms
-            if result.energy_mj is not None:
-                energy_array[index] = result.energy_mj
-            if progress_callback is not None and (index + 1) % 500 == 0:
-                progress_callback(config.name, index + 1, total)
-        # The 500-model cadence alone would skip the completion tick whenever
-        # the population size is not a multiple of 500.
-        if progress_callback is not None and total % 500 != 0:
-            progress_callback(config.name, total, total)
-        latencies[config.name] = latency_array
-        energies[config.name] = energy_array
-
-    return MeasurementSet(dataset, latencies, energies)
 
 
 def simulate_records(

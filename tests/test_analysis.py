@@ -32,10 +32,12 @@ from repro.analysis import (
     top_models_by_accuracy,
     winner_buckets,
 )
+from repro.analysis.swaps import SWAP_OPERATIONS
 from repro.arch import EDGE_TPU_V2
 from repro.errors import DatasetError
-from repro.nasbench import CONV1X1, CONV3X3, MAXPOOL3X3
+from repro.nasbench import CONV1X1, CONV3X3, MAXPOOL3X3, build_network
 from repro.nasbench.famous_cells import BEST_ACCURACY_CELL
+from repro.simulator import PerformanceSimulator
 
 
 class TestSummary:
@@ -314,20 +316,28 @@ class TestSwaps:
     def test_figure15_vectorized_matches_scalar_reference(self, dataset):
         records = dataset.records[:15]
         vectorized = operation_swap_matrix(records, EDGE_TPU_V2)
-        scalar = operation_swap_matrix(records, EDGE_TPU_V2, strategy="scalar")
-        assert set(vectorized.impacts) == set(scalar.impacts)
-        for pair, impact in vectorized.impacts.items():
-            reference = scalar.impacts[pair]
-            assert impact.num_swaps == reference.num_swaps, pair
+        simulator = PerformanceSimulator(EDGE_TPU_V2)
+
+        def latency(cell):
+            return simulator.simulate(build_network(cell)).latency_ms
+
+        assert set(vectorized.impacts) == {
+            (a, b) for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b
+        }
+        for (from_op, to_op), impact in vectorized.impacts.items():
+            deltas, percents = [], []
+            for record in records:
+                swapped = swap_operations(record.cell, from_op, to_op)
+                if swapped is None:
+                    continue
+                baseline = latency(record.cell)
+                deltas.append(latency(swapped) - baseline)
+                percents.append(100.0 * deltas[-1] / baseline)
+            pair = (from_op, to_op)
+            assert impact.num_swaps == len(deltas), pair
             assert impact.avg_change_ms == pytest.approx(
-                reference.avg_change_ms, rel=1e-9, abs=1e-12
+                np.mean(deltas) if deltas else 0.0, rel=1e-9, abs=1e-12
             ), pair
             assert impact.avg_change_percent == pytest.approx(
-                reference.avg_change_percent, rel=1e-9, abs=1e-12
+                np.mean(percents) if percents else 0.0, rel=1e-9, abs=1e-12
             ), pair
-
-    def test_figure15_unknown_strategy_rejected(self, dataset):
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            operation_swap_matrix(dataset.records[:5], EDGE_TPU_V2, strategy="turbo")

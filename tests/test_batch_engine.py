@@ -20,7 +20,7 @@ from repro.compiler import (
     plan_cache_table,
     plan_parameter_cache,
 )
-from repro.errors import CompilationError, SimulationError
+from repro.errors import CompilationError
 from repro.nasbench import (
     LayerSpec,
     LayerTable,
@@ -28,7 +28,12 @@ from repro.nasbench import (
     build_network,
     random_cell,
 )
-from repro.simulator import BatchSimulator, PerformanceSimulator, evaluate_dataset
+from repro.simulator import (
+    BatchSimulator,
+    MeasurementSet,
+    PerformanceSimulator,
+    evaluate_dataset,
+)
 
 RTOL = 1e-9
 CONFIG_NAMES = ("V1", "V2", "V3")
@@ -41,7 +46,19 @@ def population():
 
 
 def scalar_sweep(dataset, enable_caching):
-    return evaluate_dataset(dataset, enable_parameter_caching=enable_caching, strategy="scalar")
+    """Oracle sweep: one ``PerformanceSimulator.simulate`` call per model."""
+    networks = [record.build_network(dataset.network_config) for record in dataset]
+    latencies, energies = {}, {}
+    for name in CONFIG_NAMES:
+        simulator = PerformanceSimulator(
+            STUDIED_CONFIGS[name], enable_parameter_caching=enable_caching
+        )
+        results = [simulator.simulate(network) for network in networks]
+        latencies[name] = np.array([result.latency_ms for result in results])
+        energies[name] = np.array(
+            [np.nan if result.energy_mj is None else result.energy_mj for result in results]
+        )
+    return MeasurementSet(dataset, latencies, energies)
 
 
 class TestLayerTable:
@@ -186,10 +203,6 @@ class TestFacade:
         slow = scalar_sweep(population, True)
         for name in CONFIG_NAMES:
             np.testing.assert_allclose(fast.latencies(name), slow.latencies(name), rtol=RTOL)
-
-    def test_unknown_strategy_rejected(self, population):
-        with pytest.raises(SimulationError):
-            evaluate_dataset(population, strategy="warp-speed")
 
     def test_empty_dataset_yields_empty_measurements(self, population):
         empty = NASBenchDataset((), population.network_config)

@@ -1,10 +1,10 @@
-"""Equivalence tests: pack-once GraphTable vs the legacy per-list path.
+"""Equivalence tests: pack-once GraphTable vs per-list batching.
 
-The packed representation must be a pure re-arrangement of the legacy one:
+The packed representation must be a pure re-arrangement of the per-list one:
 slicing the table produces bit-for-bit the arrays ``batch_graphs`` builds
-from the corresponding Python list, and training/prediction through the
-packed path reproduces the legacy list-batching path exactly (same losses,
-same weights, same predictions) given the same seed.
+from the corresponding Python list, and training/prediction on a
+``list[GraphTuple]`` input reproduces training on the pre-packed table
+exactly (same losses, same weights, same predictions) given the same seed.
 """
 
 from __future__ import annotations
@@ -121,30 +121,12 @@ class TestSlicing:
 
 class TestTrainingEquivalence:
     def test_packed_training_is_bit_for_bit_legacy(self, table, graphs):
+        """A ``list[GraphTuple]`` input trains exactly like the packed table."""
         targets = np.linspace(-1.2, 1.2, len(graphs))
-        packed_model = EncodeProcessDecode(seed=4)
-        legacy_model = EncodeProcessDecode(seed=4)
-
-        packed_history = train_model(
-            packed_model, table, targets, epochs=4, batch_size=16, seed=1,
-            strategy="packed",
-        )
-        legacy_history = train_model(
-            legacy_model, graphs, targets, epochs=4, batch_size=16, seed=1,
-            strategy="list",
-        )
-
-        assert packed_history.train_losses == legacy_history.train_losses
-        for packed_param, legacy_param in zip(packed_model.parameters(), legacy_model.parameters()):
-            assert np.array_equal(packed_param.data, legacy_param.data)
-        assert np.array_equal(predict(packed_model, table), predict(legacy_model, graphs))
-
-    def test_validation_losses_match(self, table, graphs):
-        targets = np.linspace(0.5, -0.5, len(graphs))
-        packed_model = EncodeProcessDecode(seed=2)
-        legacy_model = EncodeProcessDecode(seed=2)
         train_indices = np.arange(40)
         val_indices = np.arange(40, 60)
+        packed_model = EncodeProcessDecode(seed=4)
+        list_model = EncodeProcessDecode(seed=4)
 
         packed_history = train_model(
             packed_model,
@@ -152,27 +134,26 @@ class TestTrainingEquivalence:
             targets[train_indices],
             table.subset(val_indices),
             targets[val_indices],
-            epochs=2,
-            seed=0,
+            epochs=4,
+            batch_size=16,
+            seed=1,
         )
-        legacy_history = train_model(
-            legacy_model,
+        list_history = train_model(
+            list_model,
             [graphs[i] for i in train_indices],
             targets[train_indices],
             [graphs[i] for i in val_indices],
             targets[val_indices],
-            epochs=2,
-            seed=0,
-            strategy="list",
+            epochs=4,
+            batch_size=16,
+            seed=1,
         )
-        assert packed_history.validation_losses == legacy_history.validation_losses
 
-    def test_list_strategy_rejects_table_input(self, table):
-        targets = np.zeros(table.num_graphs)
-        with pytest.raises(ModelError):
-            train_model(EncodeProcessDecode(seed=0), table, targets, epochs=1, strategy="list")
-        with pytest.raises(ModelError):
-            train_model(EncodeProcessDecode(seed=0), table, targets, epochs=1, strategy="nope")
+        assert packed_history.train_losses == list_history.train_losses
+        assert packed_history.validation_losses == list_history.validation_losses
+        for packed_param, list_param in zip(packed_model.parameters(), list_model.parameters()):
+            assert np.array_equal(packed_param.data, list_param.data)
+        assert np.array_equal(predict(packed_model, table), predict(list_model, graphs))
 
 
 class TestInference:

@@ -143,41 +143,10 @@ class TestRunExperiment:
 
 
 class TestExperimentCache:
-    def test_mismatched_population_is_a_miss(self, pipeline_cache_dir, measurements):
-        cache = ExperimentCache(pipeline_cache_dir)
-        cache.save_measurements("key", measurements)
-        loaded = cache.load_measurements("key", measurements.dataset)
-        assert loaded is not None
-        assert np.array_equal(loaded.latencies("V1"), measurements.latencies("V1"))
-        assert np.array_equal(loaded.energies("V3"), measurements.energies("V3"), equal_nan=True)
-
-        shrunk = type(measurements.dataset)(
-            measurements.dataset.records[:10], measurements.dataset.network_config
-        )
-        assert cache.load_measurements("key", shrunk) is None
-        assert cache.stats.measurement_hits == 1
-        assert cache.stats.measurement_misses == 1
-
     def test_absent_artifacts_are_misses(self, pipeline_cache_dir):
         cache = ExperimentCache(pipeline_cache_dir)
         assert cache.load_model_state("nope") is None
         assert cache.stats.model_misses == 1
-
-    def test_parameter_caching_mode_keys_measurement_artifacts(
-        self, pipeline_cache_dir, measurements
-    ):
-        # Shard keys embed the compiler mode: measurements saved under one
-        # mode are invisible to the other instead of silently mislabeled.
-        cache = ExperimentCache(pipeline_cache_dir)
-        cache.save_measurements("key", measurements, enable_parameter_caching=False)
-        assert (
-            cache.load_measurements("key", measurements.dataset) is None
-        )  # default True mode
-        loaded = cache.load_measurements(
-            "key", measurements.dataset, enable_parameter_caching=False
-        )
-        assert loaded is not None
-        assert np.array_equal(loaded.latencies("V1"), measurements.latencies("V1"))
 
     def test_corrupt_artifacts_degrade_to_misses(self, pipeline_cache_dir):
         experiment = small_experiment()

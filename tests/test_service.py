@@ -129,6 +129,21 @@ class TestMeasurementStore:
         with pytest.raises(ServiceError, match="missing"):
             make_store(tmp_path).load(store_dataset, configs=CONFIGS)
 
+    def test_load_of_a_different_population_is_a_miss(
+        self, tmp_path, store_dataset, direct_measurements
+    ):
+        # Shards are found by the cell fingerprints they hold, so a warm store
+        # serves its own population exactly and refuses any other one.
+        make_store(tmp_path).sweep(store_dataset, configs=CONFIGS)
+        loaded = make_store(tmp_path).load(store_dataset, configs=CONFIGS)
+        assert np.array_equal(loaded.latencies("V1"), direct_measurements.latencies("V1"))
+        assert np.array_equal(
+            loaded.energies("V3"), direct_measurements.energies("V3"), equal_nan=True
+        )
+        shrunk = NASBenchDataset(store_dataset.records[:10], store_dataset.network_config)
+        with pytest.raises(ServiceError, match="missing"):
+            make_store(tmp_path).load(shrunk, configs=CONFIGS)
+
     def test_missing_pairs_and_available_configs(self, tmp_path, store_dataset):
         store = make_store(tmp_path)
         assert store.available_configs() == []
@@ -188,8 +203,6 @@ class TestMeasurementStore:
             MeasurementStore(tmp_path, shard_size=0)
         with pytest.raises(ServiceError):
             make_store(tmp_path).sweep(store_dataset, configs=())
-        with pytest.raises(SimulationError, match="scalar"):
-            evaluate_dataset(store_dataset, strategy="scalar", store=make_store(tmp_path))
 
     def test_evaluate_dataset_store_passthrough(self, tmp_path, store_dataset, direct_measurements):
         store = make_store(tmp_path)

@@ -245,30 +245,10 @@ class TestProgressReporting:
     def tiny(self):
         return NASBenchDataset.generate(num_models=12, seed=6)
 
-    def test_scalar_strategy_emits_final_tick(self, tiny):
-        # Regression: with total % 500 != 0 the scalar walk previously never
-        # reported completion at all for small populations.
-        recorder = RecordingCallback()
-        evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1, EDGE_TPU_V2],
-            strategy="scalar", progress_callback=recorder,
-        )
-        assert recorder.ticks == [("V1", 12, 12), ("V2", 12, 12)]
-
     def test_vectorized_strategy_emits_final_tick(self, tiny):
         recorder = RecordingCallback()
-        evaluate_dataset(
-            tiny, configs=[EDGE_TPU_V1], strategy="vectorized",
-            progress_callback=recorder,
-        )
+        evaluate_dataset(tiny, configs=[EDGE_TPU_V1], progress_callback=recorder)
         assert recorder.ticks == [("V1", 12, 12)]
-
-    def test_scalar_and_vectorized_agree_on_completion(self, tiny):
-        scalar, vectorized = RecordingCallback(), RecordingCallback()
-        evaluate_dataset(tiny, configs=[EDGE_TPU_V1], strategy="scalar", progress_callback=scalar)
-        evaluate_dataset(tiny, configs=[EDGE_TPU_V1], strategy="vectorized",
-                         progress_callback=vectorized)
-        assert scalar.ticks[-1] == vectorized.ticks[-1] == ("V1", 12, 12)
 
     def test_sharded_sweep_reports_per_shard(self, tiny, tmp_path):
         # A store-backed sweep ticks as each shard completes, not once at

@@ -125,6 +125,24 @@ class TestTrainingLoop:
         with pytest.raises(ModelError):
             train_model(EncodeProcessDecode(seed=0), graphs, np.zeros(3), epochs=1)
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    @pytest.mark.parametrize("entry_point", ["train_model", "evaluate_loss", "predict"])
+    def test_non_positive_batch_size_rejected(self, entry_point, batch_size):
+        # Regression: a negative batch size used to train on no batch at all
+        # (zero losses, untouched weights) and zero raised a bare ValueError.
+        graphs = [cell_to_graph(cell) for cell in sample_unique_cells(6, seed=3)]
+        targets = np.zeros(len(graphs))
+        model = EncodeProcessDecode(seed=0)
+        calls = {
+            "train_model": lambda: train_model(
+                model, graphs, targets, epochs=3, batch_size=batch_size
+            ),
+            "evaluate_loss": lambda: evaluate_loss(model, graphs, targets, batch_size=batch_size),
+            "predict": lambda: predict(model, graphs, batch_size=batch_size),
+        }
+        with pytest.raises(ModelError, match="batch_size"):
+            calls[entry_point]()
+
     def test_evaluate_loss_and_predict_shapes(self):
         cells = sample_unique_cells(20, seed=12)
         graphs = [cell_to_graph(cell) for cell in cells]
