@@ -28,7 +28,7 @@ import numpy as np
 from ..arch.config import AcceleratorConfig
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import ModelRecord
-from ..nasbench.network import NetworkConfig, build_network
+from ..nasbench.network import NetworkConfig
 from ..nasbench.ops import CONV1X1, CONV3X3, INTERIOR_OPS, MAXPOOL3X3
 from ..simulator.batch import BatchSimulator
 
@@ -113,21 +113,21 @@ def operation_swap_matrix(
         records = [records[int(i)] for i in chosen]
 
     pairs = [(a, b) for a in SWAP_OPERATIONS for b in SWAP_OPERATIONS if a != b]
-    networks = []
+    cells: list[Cell] = []
     pair_indices: dict[tuple[str, str], list[tuple[int, int]]] = {pair: [] for pair in pairs}
     for record in records:
-        baseline_index = len(networks)
-        networks.append(build_network(record.cell, network_config))
+        baseline_index = len(cells)
+        cells.append(record.cell)
         for pair in pairs:
             swapped = swap_operations(record.cell, *pair)
             if swapped is None:
                 continue
-            pair_indices[pair].append((baseline_index, len(networks)))
-            networks.append(build_network(swapped, network_config))
+            pair_indices[pair].append((baseline_index, len(cells)))
+            cells.append(swapped)
 
     latencies = None
-    if networks:
-        latencies, _ = BatchSimulator().evaluate_networks(networks, config)
+    if cells:
+        latencies, _ = BatchSimulator().evaluate_cells(cells, config, network_config)
 
     impacts = {}
     for pair in pairs:

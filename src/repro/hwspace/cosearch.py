@@ -37,14 +37,13 @@ from ..arch.config import AcceleratorConfig
 from ..errors import DatasetError, SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
-from ..nasbench.generator import random_cell
-from ..nasbench.graph_metrics import compute_metrics
+from ..nasbench.dataset import ModelRecord
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, expand_architecture, random_macro
-from ..nasbench.mutation import mutate_macro_unique, mutate_unique
+from ..nasbench.macro import MacroSpec, random_architecture
+from ..nasbench.mutation import mutate_unique
 from ..nasbench.network import NetworkConfig
 from ..nasbench.ops import MAX_EDGES, MAX_VERTICES
-from ..search.engine import SearchEngine, oracle_accuracy, selection_scores
+from ..search.engine import SearchEngine, selection_scores
 from ..search.result import GenerationStats
 from ..search.spec import ARCH_SPACES, SearchSpec
 from ..simulator.batch import BatchSimulator
@@ -201,7 +200,7 @@ class _CellsOfConfig:
     """Membership view: has this architecture been paired with a config yet?
 
     Adapts the co-search's pair-key ``seen`` set to the container interface
-    :func:`mutate_unique` / :func:`mutate_macro_unique` de-duplicate against.
+    :func:`~repro.nasbench.mutation.mutate_unique` de-duplicates against.
     """
 
     def __init__(self, seen: set[str], batch: set[str], digest: str):
@@ -378,8 +377,7 @@ class CoSearchEngine:
         :meth:`~BatchSimulator.evaluate_table_grid` pass yields every
         (config, cell) cost, from which each pair reads its own entry.
         """
-        networks = [expand_architecture(arch, self.network_config) for arch, _ in pairs]
-        table = LayerTable.from_networks(networks)
+        table = LayerTable.from_architectures([arch for arch, _ in pairs], self.network_config)
 
         distinct: dict[str, int] = {}
         config_rows: list[AcceleratorConfig] = []
@@ -398,28 +396,16 @@ class CoSearchEngine:
         return costs, accuracies
 
     def _accuracy_of(self, arch: Cell | MacroSpec) -> float:
-        """Oracle accuracy of *arch* (hardware-independent, cached).
-
-        Macro specs key the surrogate on the macro fingerprint with the
-        representative first-stage cell's structural terms and the staged
-        expansion's parameter count — matching
-        :meth:`~repro.nasbench.dataset.NASBenchDataset.from_macros`.
-        """
+        """Oracle accuracy of *arch* (hardware-independent, cached) — the
+        :meth:`~repro.nasbench.dataset.ModelRecord.build` value a dataset
+        of the same architecture records."""
         cached = self._accuracy_cache.get(arch.fingerprint)
-        if cached is not None:
-            return cached
-        if isinstance(arch, MacroSpec):
-            representative = arch.representative_cell
-            accuracy = self.accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=arch.fingerprint,
-                metrics=compute_metrics(representative, prune=False),
-                trainable_parameters=arch.build_network().trainable_parameters,
-            )
-        else:
-            accuracy = oracle_accuracy(arch, self.network_config, self.accuracy_model)
-        self._accuracy_cache[arch.fingerprint] = accuracy
-        return accuracy
+        if cached is None:
+            cached = ModelRecord.build(
+                arch, self.network_config, self.accuracy_model
+            ).mean_validation_accuracy
+            self._accuracy_cache[arch.fingerprint] = cached
+        return cached
 
     # ------------------------------------------------------------------ #
     # Candidate proposal
@@ -492,11 +478,8 @@ class CoSearchEngine:
             # The whole hardware neighborhood of this cell is exhausted;
             # fall through to a cell mutation on the parent's hardware.
         parent_digest = config_digest(parent.config)
-        mutate = (
-            mutate_macro_unique if isinstance(parent.cell, MacroSpec) else mutate_unique
-        )
         try:
-            cell = mutate(
+            cell = mutate_unique(
                 parent.cell,
                 rng,
                 _CellsOfConfig(seen, batch_keys, parent_digest),
@@ -515,19 +498,9 @@ class CoSearchEngine:
     ) -> tuple[Cell | MacroSpec, AcceleratorConfig]:
         spec = self.spec
         for _ in range(_RANDOM_ATTEMPTS):
-            arch: Cell | MacroSpec
-            if spec.arch_space == "macro":
-                arch = random_macro(
-                    rng,
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    stem_channels=self.network_config.stem_channels,
-                    image_size=self.network_config.image_size,
-                    image_channels=self.network_config.image_channels,
-                    num_classes=self.network_config.num_classes,
-                )
-            else:
-                arch = random_cell(rng, spec.max_vertices, spec.max_edges)
+            arch = random_architecture(
+                rng, spec.arch_space, spec.max_vertices, spec.max_edges, self.network_config
+            )
             config = self.space.sample(rng)
             key = pair_key(arch, config_digest(config))
             if key not in seen and key not in batch_keys:

@@ -30,6 +30,7 @@ from .macro import (
     architecture_from_dict,
     architecture_to_dict,
     expand_architecture,
+    random_architecture,
     random_macro,
 )
 from .mutation import (
@@ -39,7 +40,6 @@ from .mutation import (
     flip_edge,
     mutate_cell,
     mutate_macro,
-    mutate_macro_unique,
     mutate_unique,
     remove_vertex,
     swap_op,
@@ -116,10 +116,10 @@ __all__ = [
     "hash_graph",
     "mutate_cell",
     "mutate_macro",
-    "mutate_macro_unique",
     "mutate_unique",
     "parameter_distribution",
     "permute_cell",
+    "random_architecture",
     "random_cell",
     "random_macro",
     "remove_vertex",

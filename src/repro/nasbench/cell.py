@@ -16,7 +16,7 @@ removed before hashing or expanding the cell into a full network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,10 +26,27 @@ from .ops import MAX_EDGES, MAX_VERTICES
 
 
 def _as_matrix(matrix: Iterable[Iterable[int]]) -> np.ndarray:
-    array = np.asarray(matrix, dtype=np.int8)
+    try:
+        array = np.asarray(matrix, dtype=np.int8)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise InvalidCellError(f"adjacency matrix must hold 0/1 integers: {exc}") from exc
     if array.ndim != 2 or array.shape[0] != array.shape[1]:
         raise InvalidCellError(f"adjacency matrix must be square, got shape {array.shape}")
     return array
+
+
+def payload_fields(payload: object, what: str, *keys: str) -> list:
+    """The values of *keys* in the serialized *what* (a ``to_dict`` mapping).
+
+    Raises :class:`InvalidCellError` for a non-mapping payload or a missing
+    key, naming the key, so malformed wire or manifest input is a typed error.
+    """
+    if not isinstance(payload, Mapping):
+        raise InvalidCellError(f"{what} payload must be a mapping, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise InvalidCellError(f"{what} payload is missing the {key!r} key")
+    return [payload[key] for key in keys]
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +296,7 @@ class Cell:
     @classmethod
     def from_dict(cls, payload: dict) -> "Cell":
         """Reconstruct a cell from :meth:`to_dict` output."""
-        return cls(payload["matrix"], payload["ops"])
+        return cls(*payload_fields(payload, "cell", "matrix", "ops"))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         ops = ", ".join(self.ops)

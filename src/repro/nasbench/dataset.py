@@ -21,7 +21,7 @@ from .famous_cells import FAMOUS_CELLS
 from .generator import enumerate_cells, sample_unique_cells
 from .graph_metrics import CellMetrics, compute_metrics
 from .hashing import cell_fingerprint
-from .macro import MacroSpec
+from .macro import MacroSpec, expand_architecture
 from .network import NetworkConfig, NetworkSpec, build_network
 
 
@@ -49,15 +49,44 @@ class ModelRecord:
         """The searchable object this record measures (macro when present)."""
         return self.macro if self.macro is not None else self.cell
 
+    @classmethod
+    def build(
+        cls,
+        arch: Cell | MacroSpec,
+        network_config: NetworkConfig,
+        accuracy_model: SurrogateAccuracyModel,
+        index: int = 0,
+    ) -> "ModelRecord":
+        """Measure one architecture: metrics, parameters, surrogate accuracy.
+
+        A cell is pruned and expanded through *network_config*.  A macro
+        spec expands through its own staged schedule; its fingerprint keys
+        the surrogate (two macros sharing a cell still draw independent
+        training noise) while the structural terms read its representative
+        first-stage cell.
+        """
+        if isinstance(arch, MacroSpec):
+            cell, macro, network = arch.representative_cell, arch, arch.build_network()
+        else:
+            cell, macro = arch.prune(), None
+            network = build_network(cell, network_config)
+        metrics = compute_metrics(cell, prune=False)
+        parameters = network.trainable_parameters
+        accuracy = accuracy_model.mean_validation_accuracy(
+            cell,
+            fingerprint=arch.fingerprint,
+            metrics=metrics,
+            trainable_parameters=parameters,
+        )
+        return cls(index, cell, arch.fingerprint, metrics, parameters, accuracy, macro)
+
     def build_network(self, config: NetworkConfig | None = None) -> NetworkSpec:
         """Expand the record's architecture into its full network.
 
         Macro records expand through their own staged schedule and ignore
         *config*; cell records expand through the legacy backbone.
         """
-        if self.macro is not None:
-            return self.macro.build_network()
-        return build_network(self.cell, config)
+        return expand_architecture(self.architecture, config)
 
 
 class NASBenchDataset:
@@ -108,94 +137,29 @@ class NASBenchDataset:
     @classmethod
     def from_cells(
         cls,
-        cells: Iterable[Cell],
+        archs: Iterable[Cell | MacroSpec],
         network_config: NetworkConfig | None = None,
         accuracy_model: SurrogateAccuracyModel | None = None,
     ) -> "NASBenchDataset":
-        """Build a dataset from an iterable of cells (de-duplicated)."""
-        network_config = network_config or NetworkConfig()
-        accuracy_model = accuracy_model or SurrogateAccuracyModel()
+        """Build a dataset from cells and/or macro specs (de-duplicated).
 
-        records: list[ModelRecord] = []
-        seen: set[str] = set()
-        for cell in cells:
-            pruned = cell.prune()
-            fingerprint = pruned.fingerprint
-            if fingerprint in seen:
-                continue
-            seen.add(fingerprint)
-            metrics = compute_metrics(pruned, prune=False)
-            network = build_network(pruned, network_config)
-            parameters = network.trainable_parameters
-            accuracy = accuracy_model.mean_validation_accuracy(
-                pruned,
-                fingerprint=fingerprint,
-                metrics=metrics,
-                trainable_parameters=parameters,
-            )
-            records.append(
-                ModelRecord(
-                    index=len(records),
-                    cell=pruned,
-                    fingerprint=fingerprint,
-                    metrics=metrics,
-                    trainable_parameters=parameters,
-                    mean_validation_accuracy=accuracy,
-                )
-            )
-        if not records:
-            raise DatasetError("no valid cells were provided")
-        return cls(records, network_config)
-
-    @classmethod
-    def from_macros(
-        cls,
-        macros: Iterable[MacroSpec],
-        network_config: NetworkConfig | None = None,
-        accuracy_model: SurrogateAccuracyModel | None = None,
-    ) -> "NASBenchDataset":
-        """Build a dataset from macro specs (de-duplicated by fingerprint).
-
-        The surrogate accuracy keys on the *macro* fingerprint (so two
-        macros sharing a cell still draw independent training noise) and its
-        structural terms read the representative first-stage cell; the
-        parameter term sees the true staged expansion.  *network_config*
-        only fills the dataset attribute legacy consumers read — macro
-        records expand through their own schedule.
+        *network_config* expands the cells; macro records expand through
+        their own schedule (see :meth:`ModelRecord.build`).
         """
         network_config = network_config or NetworkConfig()
         accuracy_model = accuracy_model or SurrogateAccuracyModel()
 
         records: list[ModelRecord] = []
         seen: set[str] = set()
-        for macro in macros:
-            fingerprint = macro.fingerprint
-            if fingerprint in seen:
+        for arch in archs:
+            if arch.fingerprint in seen:
                 continue
-            seen.add(fingerprint)
-            representative = macro.representative_cell
-            metrics = compute_metrics(representative, prune=False)
-            network = macro.build_network()
-            parameters = network.trainable_parameters
-            accuracy = accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=fingerprint,
-                metrics=metrics,
-                trainable_parameters=parameters,
-            )
+            seen.add(arch.fingerprint)
             records.append(
-                ModelRecord(
-                    index=len(records),
-                    cell=representative,
-                    fingerprint=fingerprint,
-                    metrics=metrics,
-                    trainable_parameters=parameters,
-                    mean_validation_accuracy=accuracy,
-                    macro=macro,
-                )
+                ModelRecord.build(arch, network_config, accuracy_model, index=len(records))
             )
         if not records:
-            raise DatasetError("no valid macro specs were provided")
+            raise DatasetError("no valid cells or macro specs were provided")
         return cls(records, network_config)
 
     # ------------------------------------------------------------------ #
@@ -235,9 +199,7 @@ class NASBenchDataset:
         return self.find(cell_fingerprint(cell))
 
     def __contains__(self, arch: Cell | MacroSpec) -> bool:
-        if isinstance(arch, MacroSpec):
-            return arch.fingerprint in self._by_fingerprint
-        return cell_fingerprint(arch) in self._by_fingerprint
+        return arch.fingerprint in self._by_fingerprint
 
     def filter(self, predicate: Callable[[ModelRecord], bool]) -> "NASBenchDataset":
         """Return a new dataset with only the records satisfying *predicate*."""

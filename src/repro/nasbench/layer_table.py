@@ -25,6 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import CompilationError, DatasetError
+from .cell import Cell
+from .macro import MacroSpec, expand_architecture
 from .network import (
     KIND_ADD,
     KIND_CONCAT,
@@ -35,6 +37,7 @@ from .network import (
     KIND_MAXPOOL,
     KIND_PROJECTION,
     LayerSpec,
+    NetworkConfig,
     NetworkSpec,
 )
 
@@ -75,7 +78,8 @@ class LayerTable:
 
     All arrays share the layer axis; ``model_offsets`` (length
     ``num_models + 1``) marks the segment of rows belonging to each model.
-    Instances are built with :meth:`from_networks` / :meth:`from_specs` (or
+    Instances are built with :meth:`from_architectures` /
+    :meth:`from_networks` / :meth:`from_specs` (or
     :meth:`NetworkSpec.to_layer_table`), which also compute the derived
     quantities vectorized.
     """
@@ -161,6 +165,17 @@ class LayerTable:
         if len(offsets) == 1:
             raise DatasetError("cannot build a LayerTable from zero networks")
         return cls.from_specs(specs, model_offsets=offsets)
+
+    @classmethod
+    def from_architectures(
+        cls, archs: Iterable[Cell | MacroSpec], network_config: NetworkConfig | None = None
+    ) -> "LayerTable":
+        """Expand cells and/or macro specs and pack them into one table.
+
+        Cells expand through *network_config*; macro specs carry their own
+        schedule (see :func:`~repro.nasbench.macro.expand_architecture`).
+        """
+        return cls.from_networks([expand_architecture(arch, network_config) for arch in archs])
 
     @classmethod
     def _finalize(cls, rows: np.ndarray, offsets: np.ndarray) -> "LayerTable":

@@ -34,11 +34,13 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import InvalidCellError
-from .cell import Cell
+from .cell import Cell, payload_fields
+from .generator import random_cell
 from .network import (
     KIND_CONV,
     KIND_DENSE,
@@ -48,7 +50,9 @@ from .network import (
     NetworkConfig,
     NetworkSpec,
     build_cell_layers,
+    build_network,
 )
+from .ops import MAX_EDGES, MAX_VERTICES
 
 #: Most stages a macro spec may have (each stage past the first downsamples,
 #: so deep schedules shrink the spatial grid fast; eight is already extreme
@@ -119,11 +123,14 @@ class StageSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "StageSpec":
         """Reconstruct a stage from :meth:`to_dict` output."""
-        return cls(
-            cell=Cell.from_dict(payload["cell"]),
-            depth=int(payload["depth"]),
-            width_multiplier=float(payload["width_multiplier"]),
+        cell, depth, multiplier = payload_fields(
+            payload, "stage", "cell", "depth", "width_multiplier"
         )
+        try:
+            depth, multiplier = int(depth), float(multiplier)
+        except (TypeError, ValueError) as exc:
+            raise InvalidCellError(f"malformed stage payload: {exc}") from exc
+        return cls(cell=Cell.from_dict(cell), depth=depth, width_multiplier=multiplier)
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,13 +410,22 @@ class MacroSpec:
     @classmethod
     def from_dict(cls, payload: dict) -> "MacroSpec":
         """Reconstruct a macro spec from :meth:`to_dict` output."""
-        return cls(
-            tuple(StageSpec.from_dict(entry) for entry in payload["stages"]),
-            stem_channels=int(payload["stem_channels"]),
-            image_size=int(payload["image_size"]),
-            image_channels=int(payload["image_channels"]),
-            num_classes=int(payload["num_classes"]),
+        stages, *settings = payload_fields(
+            payload,
+            "macro spec",
+            "stages",
+            "stem_channels",
+            "image_size",
+            "image_channels",
+            "num_classes",
         )
+        if not isinstance(stages, list):
+            raise InvalidCellError("macro spec 'stages' must be a list")
+        try:
+            settings = [int(value) for value in settings]
+        except (TypeError, ValueError) as exc:
+            raise InvalidCellError(f"malformed macro spec payload: {exc}") from exc
+        return cls(tuple(StageSpec.from_dict(entry) for entry in stages), *settings)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         shape = ", ".join(
@@ -433,8 +449,6 @@ def expand_architecture(
     """
     if isinstance(arch, MacroSpec):
         return arch.build_network()
-    from .network import build_network  # deferred: network imports us lazily
-
     return build_network(arch, network_config)
 
 
@@ -448,7 +462,9 @@ def architecture_to_dict(arch: Cell | MacroSpec) -> dict:
 def architecture_from_dict(payload: dict) -> Cell | MacroSpec:
     """Inverse of :func:`architecture_to_dict`; untagged payloads are cells
     (the pre-macro serialization format)."""
-    kind = payload.get("kind", "cell")
+    # A non-mapping payload falls through to Cell.from_dict, which rejects it
+    # with a typed error.
+    kind = payload.get("kind", "cell") if isinstance(payload, Mapping) else "cell"
     if kind == "macro":
         return MacroSpec.from_dict(payload)
     if kind == "cell":
@@ -473,9 +489,6 @@ def random_macro(
     cell is an independent :func:`~repro.nasbench.generator.random_cell`, and
     width multipliers are drawn from the :data:`WIDTH_MULTIPLIERS` ladder.
     """
-    from .generator import random_cell  # deferred: generator imports Cell only
-    from .ops import MAX_EDGES, MAX_VERTICES
-
     max_vertices = MAX_VERTICES if max_vertices is None else max_vertices
     max_edges = MAX_EDGES if max_edges is None else max_edges
     num_stages = 1 + int(rng.integers(max_stages))
@@ -496,3 +509,29 @@ def random_macro(
         image_channels=image_channels,
         num_classes=num_classes,
     )
+
+
+def random_architecture(
+    rng: np.random.Generator,
+    arch_space: str,
+    max_vertices: int,
+    max_edges: int,
+    network_config: NetworkConfig,
+) -> Cell | MacroSpec:
+    """Draw one random architecture of *arch_space* (``"cell"`` or ``"macro"``).
+
+    Cells come from :func:`~repro.nasbench.generator.random_cell`; macro
+    specs from :func:`random_macro` with the stem, image and class settings
+    of *network_config*.
+    """
+    if arch_space == "macro":
+        return random_macro(
+            rng,
+            max_vertices=max_vertices,
+            max_edges=max_edges,
+            stem_channels=network_config.stem_channels,
+            image_size=network_config.image_size,
+            image_channels=network_config.image_channels,
+            num_classes=network_config.num_classes,
+        )
+    return random_cell(rng, max_vertices, max_edges)

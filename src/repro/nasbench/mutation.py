@@ -10,12 +10,14 @@ matching the neighborhood used by regularized-evolution NAS on this space:
   predecessor and one successor;
 * **vertex remove** — delete one interior vertex with all its edges.
 
-Every entry point returns a **pruned, valid** cell inside the vertex/edge
-budget, or raises: mutations whose result is disconnected, over budget, or
-isomorphic to the input are rejected and retried.  De-duplication against a
-search history is fingerprint-based — :class:`~repro.nasbench.cell.Cell`
-hashes by its cached isomorphism fingerprint, so the ``seen`` container given
-to :func:`mutate_unique` can be a plain ``set[Cell]``.
+Staged :class:`~repro.nasbench.macro.MacroSpec` architectures mutate one
+stage at a time (:func:`mutate_macro`).  Every entry point returns a **pruned,
+valid** architecture inside the vertex/edge budget, or raises: mutations
+whose result is disconnected, over budget, or isomorphic to the input are
+rejected and retried.  De-duplication against a search history is
+fingerprint-based — cells and macro specs hash by their cached content
+fingerprint, so the ``seen`` container given to :func:`mutate_unique` (which
+accepts either kind) can be a plain ``set``.
 """
 
 from __future__ import annotations
@@ -183,44 +185,6 @@ def mutate_cell(
     )
 
 
-def mutate_unique(
-    cell: Cell,
-    rng: np.random.Generator,
-    seen: Container[Cell],
-    max_vertices: int = MAX_VERTICES,
-    max_edges: int = MAX_EDGES,
-    interior_ops: Sequence[str] = INTERIOR_OPS,
-    kinds: Sequence[str] = MUTATION_KINDS,
-    max_attempts: int = 50,
-) -> Cell:
-    """Mutate *cell* until the result is not contained in *seen*.
-
-    Membership is fingerprint-based (``mutant in seen`` with a ``set[Cell]``
-    uses the cached isomorphism fingerprint), so a search history never
-    re-evaluates a model it has already measured.
-
-    Raises
-    ------
-    DatasetError
-        If every drawn mutation was already seen (a crowded neighborhood);
-        callers typically fall back to a fresh random cell.
-    """
-    for _ in range(max_attempts):
-        mutant = mutate_cell(
-            cell,
-            rng,
-            max_vertices=max_vertices,
-            max_edges=max_edges,
-            interior_ops=interior_ops,
-            kinds=kinds,
-        )
-        if mutant not in seen:
-            return mutant
-    raise DatasetError(
-        f"every mutation of {cell} drawn in {max_attempts} attempts was already seen"
-    )
-
-
 # --------------------------------------------------------------------------- #
 # Macro-level mutations
 # --------------------------------------------------------------------------- #
@@ -340,38 +304,46 @@ def mutate_macro(
     )
 
 
-def mutate_macro_unique(
-    macro: MacroSpec,
+def mutate_unique(
+    arch: Cell | MacroSpec,
     rng: np.random.Generator,
-    seen: Container[MacroSpec],
+    seen: Container[Cell | MacroSpec],
     max_vertices: int = MAX_VERTICES,
     max_edges: int = MAX_EDGES,
     interior_ops: Sequence[str] = INTERIOR_OPS,
-    kinds: Sequence[str] = MACRO_MUTATION_KINDS,
+    kinds: Sequence[str] | None = None,
     max_attempts: int = 50,
-) -> MacroSpec:
-    """Mutate *macro* until the result is not contained in *seen*.
+) -> Cell | MacroSpec:
+    """Mutate *arch* until the result is not contained in *seen*.
 
-    Membership is fingerprint-based, exactly like :func:`mutate_unique`: a
-    ``set[MacroSpec]`` hashes by the cached content fingerprint.
+    Cells mutate through :func:`mutate_cell`, macro specs through
+    :func:`mutate_macro`; ``kinds=None`` selects :data:`MUTATION_KINDS` or
+    :data:`MACRO_MUTATION_KINDS` accordingly.  Membership is
+    fingerprint-based (``mutant in seen`` with a ``set`` of cells or macro
+    specs uses the cached content fingerprint), so a search history never
+    re-evaluates a model it has already measured.
 
     Raises
     ------
     DatasetError
-        If every drawn mutation was already seen; callers typically fall
-        back to a fresh :func:`~repro.nasbench.macro.random_macro`.
+        If every drawn mutation was already seen (a crowded neighborhood);
+        callers typically fall back to a fresh random architecture.
     """
+    if isinstance(arch, MacroSpec):
+        mutate, default_kinds = mutate_macro, MACRO_MUTATION_KINDS
+    else:
+        mutate, default_kinds = mutate_cell, MUTATION_KINDS
     for _ in range(max_attempts):
-        mutant = mutate_macro(
-            macro,
+        mutant = mutate(
+            arch,
             rng,
             max_vertices=max_vertices,
             max_edges=max_edges,
             interior_ops=interior_ops,
-            kinds=kinds,
+            kinds=default_kinds if kinds is None else kinds,
         )
         if mutant not in seen:
             return mutant
     raise DatasetError(
-        f"every macro mutation of {macro} drawn in {max_attempts} attempts was already seen"
+        f"every mutation of {arch} drawn in {max_attempts} attempts was already seen"
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -460,8 +459,3 @@ def build_network(cell: Cell, config: NetworkConfig | None = None) -> NetworkSpe
     # return the caller's instance so identity-based callers see their own.
     return NetworkSpec(cell=network.cell, config=config, layers=network.layers)
 
-
-def iter_layer_names(spec: NetworkSpec) -> Iterable[str]:
-    """Yield the names of all layers of *spec* (mainly for debugging/tests)."""
-    for layer in spec.layers:
-        yield layer.name

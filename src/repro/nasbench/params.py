@@ -13,17 +13,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cell import Cell
-from .network import NetworkConfig, NetworkSpec, build_network
+from .network import NetworkConfig, build_network
 
 
 def count_parameters(cell: Cell, config: NetworkConfig | None = None) -> int:
     """Return the number of trainable parameters of the network built from *cell*."""
     return build_network(cell, config).trainable_parameters
-
-
-def count_parameters_from_spec(spec: NetworkSpec) -> int:
-    """Return the number of trainable parameters of an already-expanded network."""
-    return spec.trainable_parameters
 
 
 @dataclass(frozen=True)

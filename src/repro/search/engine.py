@@ -35,11 +35,9 @@ from ..errors import DatasetError, SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import ModelRecord, NASBenchDataset
-from ..nasbench.generator import random_cell
-from ..nasbench.graph_metrics import compute_metrics
-from ..nasbench.macro import MacroSpec, random_macro
-from ..nasbench.mutation import mutate_macro_unique, mutate_unique
-from ..nasbench.network import NetworkConfig, build_network
+from ..nasbench.macro import MacroSpec, random_architecture
+from ..nasbench.mutation import mutate_unique
+from ..nasbench.network import NetworkConfig
 from ..service.query import SweepService
 from ..service.store import MeasurementStore
 from .result import GenerationStats, SearchResult
@@ -58,27 +56,6 @@ _MUTATION_ATTEMPTS = 30
 #: selection a gradient *toward* the feasible region instead of the blind
 #: tie an ``inf`` penalty would produce.
 _INFEASIBLE_OFFSET = 1e6
-
-
-def oracle_accuracy(
-    cell: Cell,
-    network_config: NetworkConfig,
-    accuracy_model: SurrogateAccuracyModel,
-) -> float:
-    """Oracle accuracy of *cell* expanded with *network_config*.
-
-    The single accuracy lookup shared by the cell-only engine and the
-    hardware co-search (the surrogate's parameter term depends on the
-    macro-architecture, so the expansion must be part of the oracle).
-    """
-    metrics = compute_metrics(cell, prune=False)
-    network = build_network(cell, network_config)
-    return accuracy_model.mean_validation_accuracy(
-        cell,
-        fingerprint=cell.fingerprint,
-        metrics=metrics,
-        trainable_parameters=network.trainable_parameters,
-    )
 
 
 def selection_scores(
@@ -206,9 +183,13 @@ class SearchEngine:
                         generation, rng, seen, records, population, selection,
                         dataset, measurements,
                     )
-                for cell in candidates:
-                    seen.add(cell)
-                    records.append(self._record(cell, len(records)))
+                for arch in candidates:
+                    seen.add(arch)
+                    records.append(
+                        ModelRecord.build(
+                            arch, self.network_config, self.accuracy_model, len(records)
+                        )
+                    )
                 dataset = NASBenchDataset(records, self.network_config)
                 with obs.span(
                     "search.simulate", generation=generation, models=len(records)
@@ -355,15 +336,6 @@ class SearchEngine:
         """One never-seen mutant of *parent* (random fallback keeps batches full)."""
         spec = self.spec
         try:
-            if isinstance(parent, MacroSpec):
-                return mutate_macro_unique(
-                    parent,
-                    rng,
-                    _Union(seen, batch_set),
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    max_attempts=_MUTATION_ATTEMPTS,
-                )
             return mutate_unique(
                 parent,
                 rng,
@@ -397,19 +369,9 @@ class SearchEngine:
     ) -> Cell | MacroSpec:
         spec = self.spec
         for _ in range(_RANDOM_ATTEMPTS):
-            arch: Cell | MacroSpec
-            if spec.arch_space == "macro":
-                arch = random_macro(
-                    rng,
-                    max_vertices=spec.max_vertices,
-                    max_edges=spec.max_edges,
-                    stem_channels=self.network_config.stem_channels,
-                    image_size=self.network_config.image_size,
-                    image_channels=self.network_config.image_channels,
-                    num_classes=self.network_config.num_classes,
-                )
-            else:
-                arch = random_cell(rng, spec.max_vertices, spec.max_edges)
+            arch = random_architecture(
+                rng, spec.arch_space, spec.max_vertices, spec.max_edges, self.network_config
+            )
             if arch not in seen and arch not in batch_set:
                 return arch
         raise SearchError(
@@ -420,55 +382,15 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Bookkeeping
     # ------------------------------------------------------------------ #
-    def _accuracy_of(self, cell: Cell) -> float:
-        """Oracle accuracy of *cell*, expanded with the engine's network config.
+    def _accuracy_of(self, arch: Cell | MacroSpec) -> float:
+        """Oracle accuracy of *arch*, exactly as its history record holds it.
 
-        Used for both history records and pool pre-screening, so feasibility
-        decisions always agree with the recorded accuracies.
+        Used for pool pre-screening, so feasibility decisions always agree
+        with the recorded accuracies.
         """
-        return oracle_accuracy(cell, self.network_config, self.accuracy_model)
-
-    def _record(self, arch: Cell | MacroSpec, index: int) -> ModelRecord:
-        """Build one history record incrementally.
-
-        Matches ``NASBenchDataset.from_cells`` for cells and ``from_macros``
-        for macro specs, so engine histories and bulk-built datasets agree.
-        """
-        if isinstance(arch, MacroSpec):
-            representative = arch.representative_cell
-            metrics = compute_metrics(representative, prune=False)
-            network = arch.build_network()
-            accuracy = self.accuracy_model.mean_validation_accuracy(
-                representative,
-                fingerprint=arch.fingerprint,
-                metrics=metrics,
-                trainable_parameters=network.trainable_parameters,
-            )
-            return ModelRecord(
-                index=index,
-                cell=representative,
-                fingerprint=arch.fingerprint,
-                metrics=metrics,
-                trainable_parameters=network.trainable_parameters,
-                mean_validation_accuracy=accuracy,
-                macro=arch,
-            )
-        metrics = compute_metrics(arch, prune=False)
-        network = build_network(arch, self.network_config)
-        accuracy = self.accuracy_model.mean_validation_accuracy(
-            arch,
-            fingerprint=arch.fingerprint,
-            metrics=metrics,
-            trainable_parameters=network.trainable_parameters,
-        )
-        return ModelRecord(
-            index=index,
-            cell=arch,
-            fingerprint=arch.fingerprint,
-            metrics=metrics,
-            trainable_parameters=network.trainable_parameters,
-            mean_validation_accuracy=accuracy,
-        )
+        return ModelRecord.build(
+            arch, self.network_config, self.accuracy_model
+        ).mean_validation_accuracy
 
     def _make_archive(self, first_costs: np.ndarray) -> ParetoArchive:
         """Fix the hypervolume reference at the first generation's worst cost.

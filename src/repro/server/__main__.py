@@ -21,7 +21,6 @@ from typing import Sequence
 
 from ..errors import ServiceError
 from ..nasbench.dataset import NASBenchDataset
-from ..nasbench.macro import MacroSpec
 from ..service.query import SweepService
 from ..service.queue import SweepManifest
 from ..service.store import MeasurementStore
@@ -57,11 +56,7 @@ def build_service(
             for shard in range(manifest.num_shards)
             for arch in manifest.shard_archs(shard)
         ]
-        network_config = manifest.network_config()
-        if any(isinstance(arch, MacroSpec) for arch in archs):
-            dataset = NASBenchDataset.from_macros(archs, network_config)
-        else:
-            dataset = NASBenchDataset.from_cells(archs, network_config)
+        dataset = NASBenchDataset.from_cells(archs, manifest.network_config())
         store = MeasurementStore(
             store_dir,
             shard_size=manifest.shard_size,

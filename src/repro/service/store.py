@@ -48,7 +48,8 @@ from .. import obs
 from ..arch.config import STUDIED_CONFIGS, AcceleratorConfig, get_config
 from ..errors import ServiceError
 from ..nasbench.dataset import NASBenchDataset
-from ..simulator.batch import BatchSimulator, shard_table, simulate_shard
+from ..nasbench.layer_table import LayerTable
+from ..simulator.batch import BatchSimulator, simulate_shard
 from ..simulator.runner import MeasurementSet
 
 #: Bump to invalidate every stored shard when the on-disk format changes.
@@ -329,7 +330,7 @@ class MeasurementStore:
                     with obs.span(
                         "store.simulate_shard", models=stop - start, configs=len(missing)
                     ):
-                        table = shard_table(
+                        table = LayerTable.from_architectures(
                             [record.architecture for record in dataset.records[start:stop]],
                             dataset.network_config,
                         )

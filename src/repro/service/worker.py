@@ -38,7 +38,7 @@ import numpy as np
 
 from .. import obs
 from ..nasbench.layer_table import LayerTable
-from ..simulator.batch import BatchSimulator, shard_table, simulate_shard
+from ..simulator.batch import BatchSimulator, simulate_shard
 from .queue import (
     DEFAULT_LEASE_EXPIRY,
     SweepManifest,
@@ -192,7 +192,7 @@ class SweepWorker:
             with _Heartbeat(self.queue, lease, interval):
                 if self.throttle_seconds:
                     time.sleep(self.throttle_seconds)
-                table = self._shard_table(pair.shard_index)
+                table = self._layers_of_shard(pair.shard_index)
                 results = simulate_shard(self._simulator, table, [config])
             latency, energy = results[config.name]
             write_npz(
@@ -227,12 +227,14 @@ class SweepWorker:
         self._write_report(result)
         self.queue.release(lease)
 
-    def _shard_table(self, shard_index: int) -> LayerTable:
+    def _layers_of_shard(self, shard_index: int) -> LayerTable:
         """LayerTable of one shard, cached so consecutive configurations of
         the same shard skip the network rebuild."""
         if self._table_cache is not None and self._table_cache[0] == shard_index:
             return self._table_cache[1]
-        table = shard_table(self.manifest.shard_archs(shard_index), self.manifest.network_config())
+        table = LayerTable.from_architectures(
+            self.manifest.shard_archs(shard_index), self.manifest.network_config()
+        )
         self._table_cache = (shard_index, table)
         return table
 

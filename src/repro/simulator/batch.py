@@ -36,8 +36,8 @@ from ..errors import SimulationError
 from ..nasbench.cell import Cell
 from ..nasbench.dataset import NASBenchDataset
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, expand_architecture
-from ..nasbench.network import NetworkConfig, NetworkSpec, build_network
+from ..nasbench.macro import MacroSpec
+from ..nasbench.network import NetworkConfig
 from .fused import compile_and_time_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -108,8 +108,9 @@ class BatchSimulator:
                 {config.name: np.full(0, np.nan, dtype=float) for config in config_list},
             )
         with obs.span("sim.evaluate", models=total, configs=len(config_list)):
-            networks = [record.build_network(dataset.network_config) for record in dataset]
-            table = LayerTable.from_networks(networks)
+            table = LayerTable.from_architectures(
+                [record.architecture for record in dataset], dataset.network_config
+            )
             grid_latency, grid_energy = self.evaluate_table_grid(table, config_list)
             latencies, energies = {}, {}
             for index, config in enumerate(config_list):
@@ -119,26 +120,19 @@ class BatchSimulator:
                     progress_callback(config.name, total, total)
         return MeasurementSet(dataset, latencies, energies)
 
-    def evaluate_networks(
-        self, networks: Sequence[NetworkSpec], config: AcceleratorConfig
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Latency/energy arrays of *networks* on one configuration."""
-        return self.evaluate_table(LayerTable.from_networks(networks), config)
-
     def evaluate_cells(
         self,
-        cells: Sequence[Cell],
+        cells: Sequence[Cell | MacroSpec],
         config: AcceleratorConfig,
         network_config: NetworkConfig | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Latency/energy arrays of bare *cells* on one configuration.
 
-        Convenience for callers that have cells rather than a dataset (the
-        learned-model examples, operation-swap analysis): the cells are
-        expanded, flattened into one table and swept in a single pass.
+        Convenience for callers that have architectures rather than a
+        dataset (the learned-model examples, operation-swap analysis): they
+        are expanded, flattened into one table and swept in a single pass.
         """
-        networks = [build_network(cell, network_config) for cell in cells]
-        return self.evaluate_networks(networks, config)
+        return self.evaluate_table(LayerTable.from_architectures(cells, network_config), config)
 
     def evaluate_table(
         self, table: LayerTable, config: AcceleratorConfig
@@ -187,26 +181,18 @@ class BatchSimulator:
             return result.latency_ms, result.energy_mj
 
 
-def shard_table(archs: Sequence[Cell | MacroSpec], network_config: NetworkConfig) -> LayerTable:
-    """Expand one shard's architectures and pack them into one table.
-
-    Entries may be bare cells (expanded through *network_config*) or
-    self-contained macro specs.
-    """
-    return LayerTable.from_networks([expand_architecture(arch, network_config) for arch in archs])
-
-
 def simulate_shard(
     simulator: BatchSimulator,
     table: LayerTable,
     configs: Sequence[AcceleratorConfig],
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Evaluate one packed shard (:func:`shard_table`) on every configuration.
+    """Evaluate one packed shard on every configuration.
 
     The shard body of both sweep executors: the store's
     :meth:`~repro.service.store.MeasurementStore.extend` and the distributed
-    :class:`~repro.service.worker.SweepWorker` route every shard through
-    :func:`shard_table` and this function, so a shard simulates to identical
+    :class:`~repro.service.worker.SweepWorker` pack every shard with
+    :meth:`~repro.nasbench.layer_table.LayerTable.from_architectures` and
+    evaluate it with this function, so a shard simulates to identical
     bytes no matter which executor ran it.  Returns ``{config name:
     (latency_ms, energy_mj)}``.
     """

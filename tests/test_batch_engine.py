@@ -175,7 +175,9 @@ class TestBatchSimulatorEquivalence:
         for name in CONFIG_NAMES:
             config = STUDIED_CONFIGS[name]
             scalar = PerformanceSimulator(config).simulate(network)
-            latency, energy = BatchSimulator().evaluate_networks([network], config)
+            latency, energy = BatchSimulator().evaluate_table(
+                LayerTable.from_networks([network]), config
+            )
             assert latency[0] == pytest.approx(scalar.latency_ms, rel=RTOL)
             if scalar.energy_mj is None:
                 assert np.isnan(energy[0])

@@ -337,7 +337,7 @@ class TestMacroManifest:
     @pytest.fixture(scope="class")
     def macro_dataset(self):
         rng = np.random.default_rng(23)
-        return NASBenchDataset.from_macros([random_macro(rng) for _ in range(8)])
+        return NASBenchDataset.from_cells([random_macro(rng) for _ in range(8)])
 
     def test_shard_archs_round_trip_the_macro_specs(self, tmp_path, macro_dataset):
         _, manifest = publish(tmp_path, macro_dataset, shard_size=4)

@@ -260,6 +260,15 @@ class TestCoSearch:
         # Without a key the cell fingerprint still deduplicates.
         assert not archive.update(cell_stub, 5.0, 0.8, key="fp@hw-a")
 
+    @pytest.mark.parametrize("arch_space", ["cell", "macro"])
+    def test_pair_accuracies_match_the_dataset(self, space, arch_space):
+        spec = CoSearchSpec(population_size=8, generations=2, seed=5, arch_space=arch_space)
+        result = CoSearchEngine(spec, space).run()
+        dataset = NASBenchDataset.from_cells([record.cell for record in result.pairs])
+        for record in result.pairs:
+            expected = dataset.find(record.cell.fingerprint).mean_validation_accuracy
+            assert record.accuracy == expected
+
     def test_run_spends_exact_budget_on_unique_pairs(self, space):
         spec = CoSearchSpec(population_size=8, generations=3, seed=5)
         result = CoSearchEngine(spec, space).run()

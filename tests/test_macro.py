@@ -31,6 +31,7 @@ from repro.nasbench import (
     OUTPUT,
     WIDTH_MULTIPLIERS,
     Cell,
+    LayerTable,
     MacroSpec,
     NASBenchDataset,
     NetworkConfig,
@@ -40,8 +41,7 @@ from repro.nasbench import (
     build_network,
     expand_architecture,
     mutate_macro,
-    mutate_macro_unique,
-    random_cell,
+    mutate_unique,
     random_macro,
 )
 from repro.search import SearchEngine, SearchSpec
@@ -198,6 +198,55 @@ class TestSerialization:
         with pytest.raises(InvalidCellError, match="kind"):
             architecture_from_dict({"kind": "transformer"})
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("stages",),
+            ("stem_channels",),
+            ("num_classes",),
+            ("stages", 1, "cell"),
+            ("stages", 1, "depth"),
+            ("stages", 1, "width_multiplier"),
+            ("stages", 0, "cell", "ops"),
+        ],
+        ids=lambda path: "/".join(map(str, path)),
+    )
+    def test_missing_keys_are_typed_and_named(self, path):
+        # A corrupt sweep manifest decodes through this path: every missing
+        # key must surface as InvalidCellError naming it, not a KeyError.
+        payload = architecture_to_dict(two_stage_macro())
+        parent = payload
+        for step in path[:-1]:
+            parent = parent[step]
+        del parent[path[-1]]
+        with pytest.raises(InvalidCellError, match=f"'{path[-1]}'"):
+            architecture_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.update(stages="deep"),
+            lambda payload: payload.update(stem_channels="wide"),
+            lambda payload: payload["stages"].__setitem__(0, [1, 2]),
+            lambda payload: payload["stages"][0].update(depth=None),
+            lambda payload: payload["stages"][0]["cell"].update(matrix="ab"),
+            lambda payload: payload["stages"][0]["cell"].update(matrix=[[0, 300], [0, 0]]),
+        ],
+        ids=[
+            "stages-not-a-list",
+            "non-integer-setting",
+            "stage-not-a-mapping",
+            "non-integer-depth",
+            "non-numeric-matrix",
+            "matrix-overflows-int8",
+        ],
+    )
+    def test_malformed_values_are_typed(self, edit):
+        payload = architecture_to_dict(two_stage_macro())
+        edit(payload)
+        with pytest.raises(InvalidCellError):
+            architecture_from_dict(payload)
+
 
 # --------------------------------------------------------------------------- #
 # The acceptance anchor: single-cell macro == legacy expansion, bit for bit
@@ -219,8 +268,12 @@ class TestLegacyEquivalence:
 
         simulator = BatchSimulator(enable_parameter_caching=caching)
         for accel in (get_config("V1"), get_config("V2")):
-            legacy_lat, legacy_energy = simulator.evaluate_networks([legacy], accel)
-            macro_lat, macro_energy = simulator.evaluate_networks([staged], accel)
+            legacy_lat, legacy_energy = simulator.evaluate_table(
+                LayerTable.from_networks([legacy]), accel
+            )
+            macro_lat, macro_energy = simulator.evaluate_table(
+                LayerTable.from_networks([staged]), accel
+            )
             np.testing.assert_array_equal(macro_lat, legacy_lat)
             np.testing.assert_array_equal(macro_energy, legacy_energy)
 
@@ -327,7 +380,7 @@ class TestMacroMutation:
         macro = random_macro(rng)
         seen = {macro}
         for _ in range(30):
-            child = mutate_macro_unique(macro, rng, seen)
+            child = mutate_unique(macro, rng, seen)
             assert child not in seen
             seen.add(child)
             macro = child
@@ -341,17 +394,17 @@ class TestMacroMutation:
                 return True
 
         with pytest.raises(DatasetError):
-            mutate_macro_unique(macro, rng, Everything(), max_attempts=5)
+            mutate_unique(macro, rng, Everything(), max_attempts=5)
 
 
 # --------------------------------------------------------------------------- #
 # Datasets of macro records
 # --------------------------------------------------------------------------- #
 class TestMacroDataset:
-    def test_from_macros_dedups_and_dispatches(self):
+    def test_from_cells_dedups_and_dispatches_macros(self):
         rng = np.random.default_rng(7)
         macros = [random_macro(rng) for _ in range(5)]
-        dataset = NASBenchDataset.from_macros(macros + [macros[0]])
+        dataset = NASBenchDataset.from_cells(macros + [macros[0]])
         assert len(dataset) == 5
         for record, macro in zip(dataset, macros):
             assert record.architecture is macro
@@ -368,12 +421,19 @@ class TestMacroDataset:
         # independent surrogate noise draws (with the same structural terms).
         shallow = MacroSpec((StageSpec(CELL_A, depth=1),))
         deep = MacroSpec((StageSpec(CELL_A, depth=3),))
-        dataset = NASBenchDataset.from_macros([shallow, deep])
+        dataset = NASBenchDataset.from_cells([shallow, deep])
         assert dataset[0].mean_validation_accuracy != dataset[1].mean_validation_accuracy
 
     def test_empty_input_rejected(self):
         with pytest.raises(DatasetError, match="macro"):
-            NASBenchDataset.from_macros([])
+            NASBenchDataset.from_cells([])
+
+    def test_mixed_populations_build_one_dataset(self):
+        macro = two_stage_macro()
+        dataset = NASBenchDataset.from_cells([CELL_A, macro, CELL_A])
+        assert [record.architecture for record in dataset] == [CELL_A, macro]
+        assert dataset[0].macro is None and dataset[1].macro is macro
+        assert dataset[1].cell == macro.representative_cell
 
 
 # --------------------------------------------------------------------------- #

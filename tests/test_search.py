@@ -24,6 +24,7 @@ from repro.nasbench import (
     CONV3X3,
     INPUT,
     OUTPUT,
+    NASBenchDataset,
     mutate_cell,
     mutate_unique,
     random_cell,
@@ -246,6 +247,21 @@ class TestSearchEngine:
         assert a.best_objective == b.best_objective
         assert [r.fingerprint for r in a.dataset] == [r.fingerprint for r in b.dataset]
         assert [g.hypervolume for g in a.generations] == [g.hypervolume for g in b.generations]
+
+    @pytest.mark.parametrize("arch_space", ["cell", "macro"])
+    def test_history_records_match_the_dataset_builder(self, arch_space):
+        # The engine builds its history one record at a time; a dataset
+        # built in bulk from the same architectures must agree exactly.
+        result = SearchEngine(small_spec("evolution", generations=2, arch_space=arch_space)).run()
+        bulk = NASBenchDataset.from_cells(
+            [record.architecture for record in result.dataset], result.dataset.network_config
+        )
+        assert len(bulk) == len(result.dataset)
+        for built, record in zip(bulk, result.dataset):
+            for field in dataclasses.fields(record):
+                assert repr(getattr(built, field.name)) == repr(getattr(record, field.name)), (
+                    field.name
+                )
 
     def test_budget_is_respected_and_history_unique(self):
         result = SearchEngine(small_spec("random")).run()

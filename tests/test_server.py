@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import TrainingSettings
-from repro.nasbench import NASBenchDataset, sample_unique_cells
+from repro.nasbench import NASBenchDataset, random_macro, sample_unique_cells
 from repro.server import (
     QueryCache,
     ServerBusy,
@@ -427,6 +427,33 @@ class TestErrorMapping:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "cell, fragment",
+        [
+            ({}, "'matrix'"),
+            ({"matrix": [[0, 1], [0, 0]]}, "'ops'"),
+            ({"matrix": "ab", "ops": ["input", "output"]}, "adjacency matrix"),
+        ],
+        ids=["empty-cell", "missing-ops", "non-numeric-matrix"],
+    )
+    def test_malformed_predict_cell_is_400(self, service, cell, fragment):
+        async def scenario():
+            server = await serve(service, cache_size=0)
+            try:
+                client = ServiceClient(port=server.port)
+                status, _, body = await client.request(
+                    "POST",
+                    "/v1/query",
+                    {"kind": "predict", "cells": [cell], "config_name": "V1"},
+                )
+                assert status == 400 and fragment in body["error"]
+                assert (await client.health())["status"] == "ok"
+                await client.close()
+            finally:
+                await server.stop()
+
+        run(scenario())
+
     def test_invalid_json_body_is_400(self, service):
         async def scenario():
             server = await serve(service, cache_size=0)
@@ -461,6 +488,18 @@ class TestBuildService:
         assert [e.record.fingerprint for e in rebuilt.top_k(3)] == [
             e.record.fingerprint for e in service.top_k(3)
         ]
+
+    def test_macro_manifest_rebuilds_macro_records(self, tmp_path):
+        rng = np.random.default_rng(5)
+        dataset = NASBenchDataset.from_cells([random_macro(rng) for _ in range(6)])
+        store = MeasurementStore(tmp_path, shard_size=3)
+        store.sweep(dataset, configs=["V1"])
+        store.publish_manifest(dataset, configs=["V1"])
+        rebuilt = build_service(tmp_path)
+        assert [record.architecture for record in rebuilt.dataset] == [
+            record.architecture for record in dataset
+        ]
+        assert all(record.macro is not None for record in rebuilt.dataset)
 
     def test_manifest_less_store_needs_models_argument(self, tmp_path):
         from repro.errors import ServiceError
