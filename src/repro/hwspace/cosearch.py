@@ -4,16 +4,17 @@
 hardware frontier ranks *accelerators* over a frozen population.  The
 co-design question the paper points at — which (model, microarchitecture)
 pairs are jointly optimal — needs both axes searched under one budget.
-:class:`CoSearchEngine` runs regularized evolution over **pairs**: a
-tournament picks a parent pair, and each child either mutates the cell
-(:func:`~repro.nasbench.mutation.mutate_unique`, hardware kept) or takes one
-hardware grid step (:meth:`~repro.hwspace.space.AcceleratorSpace.neighbors`,
-cell kept).  Every generation is evaluated in **one config-axis vectorized
-pass** (:meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid`
-over the generation's distinct configurations), selection uses the same
-soft feasibility penalty as the cell-only engine, and a
-:class:`~repro.analysis.ParetoArchive` keyed by ``fingerprint@config-digest``
-tracks the joint (cost ↓, accuracy ↑) frontier.
+:class:`CoSearchEngine` drives the same regularized-evolution core as the
+cell-only engine (:class:`~repro.search.evolution.Evolution`) over
+**pairs** keyed by ``fingerprint@config-digest``: a tournament picks a
+parent pair, and each child either takes one hardware grid step
+(:meth:`~repro.hwspace.space.AcceleratorSpace.neighbors`, cell kept) or
+mutates the cell (hardware kept).  Every generation is evaluated in **one
+config-axis vectorized pass**
+(:meth:`~repro.simulator.batch.BatchSimulator.evaluate_table_grid` over the
+generation's distinct configurations); selection, the soft feasibility
+penalty and the joint (cost ↓, accuracy ↑)
+:class:`~repro.analysis.ParetoArchive` are the core's.
 
 The simulation budget — ``population_size × generations`` pair evaluations —
 matches a fixed-hardware :class:`~repro.search.SearchEngine` run with the
@@ -25,8 +26,8 @@ least one of the V1/V2/V3 single-axis winners at equal cost.
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,27 +35,19 @@ import numpy as np
 from .. import obs
 from ..analysis.archive import ParetoArchive
 from ..arch.config import AcceleratorConfig
-from ..errors import DatasetError, SearchError
+from ..errors import SearchError
 from ..nasbench.accuracy import SurrogateAccuracyModel
 from ..nasbench.cell import Cell
-from ..nasbench.dataset import ModelRecord
 from ..nasbench.layer_table import LayerTable
-from ..nasbench.macro import MacroSpec, random_architecture
-from ..nasbench.mutation import mutate_unique
+from ..nasbench.macro import MacroSpec
 from ..nasbench.network import NetworkConfig
 from ..nasbench.ops import MAX_EDGES, MAX_VERTICES
-from ..search.engine import SearchEngine, selection_scores
-from ..search.result import GenerationStats
-from ..search.spec import ARCH_SPACES, SearchSpec
+from ..search.engine import SearchEngine
+from ..search.evolution import Evolution, Pair
+from ..search.result import GenerationStats, generation_lines
+from ..search.spec import SearchSpec
 from ..simulator.batch import BatchSimulator
 from .space import AcceleratorSpace, config_digest
-
-#: Attempts at drawing an unseen random (cell, config) pair before the joint
-#: space is declared exhausted.
-_RANDOM_ATTEMPTS = 500
-
-#: Mutation draws per child before falling back to a fresh random pair.
-_MUTATION_ATTEMPTS = 30
 
 
 @dataclass(frozen=True)
@@ -78,25 +71,30 @@ class CoSearchSpec:
     arch_space: str = "cell"
 
     def __post_init__(self) -> None:
-        if self.metric not in ("latency", "energy"):
-            raise SearchError(f"unknown metric {self.metric!r}; expected 'latency' or 'energy'")
-        if self.arch_space not in ARCH_SPACES:
-            raise SearchError(
-                f"unknown architecture space {self.arch_space!r}; "
-                f"expected one of {ARCH_SPACES}"
-            )
-        if self.population_size < 2:
-            raise SearchError("population_size must be at least 2")
-        if self.generations < 1:
-            raise SearchError("a co-search needs at least one generation")
-        if self.tournament_size < 1:
-            raise SearchError("tournament_size must be at least 1")
+        # Every field the two searches share validates exactly as in the
+        # equal-budget fixed-hardware search.
+        self._fixed_hardware()
         if not 0.0 <= self.hardware_move_probability <= 1.0:
             raise SearchError("hardware_move_probability must be within [0, 1]")
-        if not 3 <= self.max_vertices <= MAX_VERTICES:
-            raise SearchError(f"max_vertices must be in [3, {MAX_VERTICES}]")
-        if not 1 <= self.max_edges <= MAX_EDGES:
-            raise SearchError(f"max_edges must be in [1, {MAX_EDGES}]")
+
+    def _fixed_hardware(
+        self, strategy: str = "evolution", config_name: str = "V1"
+    ) -> SearchSpec:
+        """The fixed-hardware search with this co-search's budget and limits."""
+        return SearchSpec(
+            strategy=strategy,
+            config_name=config_name,
+            metric=self.metric,
+            min_accuracy=self.min_accuracy,
+            population_size=self.population_size,
+            generations=self.generations,
+            tournament_size=self.tournament_size,
+            seed=self.seed,
+            max_vertices=self.max_vertices,
+            max_edges=self.max_edges,
+            enable_parameter_caching=self.enable_parameter_caching,
+            arch_space=self.arch_space,
+        )
 
     @property
     def simulation_budget(self) -> int:
@@ -178,45 +176,14 @@ class CoSearchResult:
             )
         else:
             verdict = "no feasible pair (every candidate fell below the accuracy floor)"
-        lines = [
+        return [
             f"co-search over {self.space.size} hardware points × cells "
             f"({self.spec.metric}, accuracy >= {self.spec.min_accuracy:.2f}): "
             f"{len(self.pairs)} pairs over {len(self.generations)} generations, "
             f"{verdict}, front {len(self.archive)} points, "
             f"{self.elapsed_seconds:.2f}s",
-            f"{'gen':>4}{'evaluated':>11}{'feasible':>10}"
-            f"{'gen best':>12}{'best so far':>13}{'hypervolume':>13}{'admitted':>10}",
+            *generation_lines(self.generations),
         ]
-        for row in self.generations:
-            lines.append(
-                f"{row.generation:>4}{row.evaluated:>11}{row.feasible:>10}"
-                f"{row.generation_best:>12.4f}{row.best_objective:>13.4f}"
-                f"{row.hypervolume:>13.5f}{row.admitted:>10}"
-            )
-        return lines
-
-
-class _CellsOfConfig:
-    """Membership view: has this architecture been paired with a config yet?
-
-    Adapts the co-search's pair-key ``seen`` set to the container interface
-    :func:`~repro.nasbench.mutation.mutate_unique` de-duplicates against.
-    """
-
-    def __init__(self, seen: set[str], batch: set[str], digest: str):
-        self._seen = seen
-        self._batch = batch
-        self._digest = digest
-
-    def __contains__(self, cell: object) -> bool:
-        if not isinstance(cell, (Cell, MacroSpec)):
-            return False
-        obs.count("cosearch.candidates_checked")
-        key = pair_key(cell, self._digest)
-        hit = key in self._seen or key in self._batch
-        if hit:
-            obs.count("cosearch.dedup_rejects")
-        return hit
 
 
 def pair_key(cell: Cell | MacroSpec, digest: str) -> str:
@@ -256,7 +223,6 @@ class CoSearchEngine:
         self.network_config = network_config or NetworkConfig()
         self.accuracy_model = accuracy_model or SurrogateAccuracyModel()
         self._simulator = BatchSimulator(enable_parameter_caching=spec.enable_parameter_caching)
-        self._accuracy_cache: dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -266,111 +232,61 @@ class CoSearchEngine:
         spec = self.spec
         say = progress or (lambda message: None)
         start = time.perf_counter()
-        rng = np.random.default_rng(spec.seed)
-
-        seen: set[str] = set()
-        records: list[PairRecord] = []
-        configs_by_key: dict[str, AcceleratorConfig] = {}
-        population: deque[int] = deque(maxlen=spec.population_size)
-        archive: ParetoArchive | None = None
-        selection: np.ndarray | None = None
-        objective_values: list[float] = []
-        rows: list[GenerationStats] = []
+        evolution = Evolution(
+            spec,
+            "cosearch",
+            self.network_config,
+            self.accuracy_model,
+            key=lambda arch, config: pair_key(arch, config_digest(config)),
+            sample_config=self.space.sample,
+        )
+        child = partial(self._child, evolution)
 
         for generation in range(spec.generations):
             with obs.span("cosearch.generation", generation=generation):
                 with obs.span("cosearch.propose", generation=generation):
-                    pairs = self._propose(
-                        generation, rng, seen, records, population, selection
+                    pairs = (
+                        evolution.fresh(spec.population_size)
+                        if generation == 0
+                        else evolution.bred(spec.population_size, child)
                     )
                 with obs.span(
                     "cosearch.evaluate", generation=generation, pairs=len(pairs)
                 ):
-                    costs, accuracies = self._evaluate(pairs)
+                    costs = self._costs(pairs)
+                    accuracies = np.array([evolution.accuracy_of(cell) for cell, _ in pairs])
+            say(evolution.observe(generation, pairs, costs, accuracies))
 
-            new_start = len(records)
-            for (cell, config), cost, accuracy in zip(pairs, costs, accuracies):
-                key = pair_key(cell, config_digest(config))
-                seen.add(key)
-                configs_by_key[key] = config
-                records.append(
-                    PairRecord(
-                        index=len(records),
-                        cell=cell,
-                        config=config,
-                        key=key,
-                        accuracy=float(accuracy),
-                        cost=float(cost),
-                        generation=generation,
-                    )
-                )
-                feasible = np.isfinite(cost) and accuracy >= spec.min_accuracy
-                objective_values.append(float(cost) if feasible else float("inf"))
-            population.extend(range(new_start, len(records)))
-
-            all_costs = np.array([record.cost for record in records])
-            all_accuracies = np.array([record.accuracy for record in records])
-            selection = selection_scores(all_costs, all_accuracies, spec.min_accuracy)
-
-            if archive is None:
-                finite = costs[np.isfinite(costs)]
-                archive = ParetoArchive(
-                    ref_cost=float(finite.max()) if finite.size else 1.0,
-                    ref_accuracy=0.0,
-                )
-            admitted = 0
-            for record in records[new_start:]:
-                offered = (record.cost if record.accuracy >= spec.min_accuracy else float("inf"))
-                admitted += archive.update(
-                    record.cell,
-                    offered,
-                    record.accuracy,
-                    generation=generation,
-                    key=record.key,
-                )
-            hypervolume = archive.checkpoint()
-
-            objective = np.array(objective_values)
-            generation_slice = objective[new_start:]
-            best_index = int(np.argmin(objective))
-            rows.append(
-                GenerationStats(
-                    generation=generation,
-                    evaluated=len(pairs),
-                    feasible=int(np.isfinite(generation_slice).sum()),
-                    generation_best=float(np.min(generation_slice)),
-                    best_objective=float(objective[best_index]),
-                    hypervolume=hypervolume,
-                    admitted=admitted,
-                )
+        assert evolution.archive is not None
+        # Every generation proposes exactly population_size pairs.
+        records = [
+            PairRecord(
+                index=index,
+                cell=cell,
+                config=config,
+                key=key,
+                accuracy=float(accuracy),
+                cost=float(cost),
+                generation=index // spec.population_size,
             )
-            say(
-                f"generation {generation}: evaluated {len(pairs)}, "
-                f"best {float(objective[best_index]):.4f}, "
-                f"front {len(archive)} (hv {hypervolume:.5f})"
+            for index, ((cell, config), key, cost, accuracy) in enumerate(
+                zip(evolution.pairs, evolution.keys, evolution.costs, evolution.accuracies)
             )
-
-        assert archive is not None
-        objective = np.array(objective_values)
+        ]
         return CoSearchResult(
             spec=spec,
             space=self.space,
             pairs=records,
-            objective=objective,
-            archive=archive,
-            configs_by_key=configs_by_key,
-            generations=rows,
-            best_index=int(np.argmin(objective)),
+            objective=evolution.objective,
+            archive=evolution.archive,
+            configs_by_key={record.key: record.config for record in records},
+            generations=evolution.generations,
+            best_index=evolution.best_index,
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    # ------------------------------------------------------------------ #
-    # Evaluation (one config-axis vectorized pass per generation)
-    # ------------------------------------------------------------------ #
-    def _evaluate(
-        self, pairs: Sequence[tuple[Cell | MacroSpec, AcceleratorConfig]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Cost and accuracy arrays of the generation's pairs.
+    def _costs(self, pairs: Sequence[Pair]) -> np.ndarray:
+        """Cost of each of the generation's pairs, from one simulator pass.
 
         The generation's cells flatten into one :class:`LayerTable` and its
         distinct configurations into one config axis; a single
@@ -391,124 +307,20 @@ class CoSearchEngine:
 
         latency, energy = self._simulator.evaluate_table_grid(table, config_rows)
         matrix = latency if self.spec.metric == "latency" else energy
-        costs = matrix[row_of_pair, np.arange(len(pairs))]
-        accuracies = np.array([self._accuracy_of(cell) for cell, _ in pairs])
-        return costs, accuracies
+        return matrix[row_of_pair, np.arange(len(pairs))]
 
-    def _accuracy_of(self, arch: Cell | MacroSpec) -> float:
-        """Oracle accuracy of *arch* (hardware-independent, cached) — the
-        :meth:`~repro.nasbench.dataset.ModelRecord.build` value a dataset
-        of the same architecture records."""
-        cached = self._accuracy_cache.get(arch.fingerprint)
-        if cached is None:
-            cached = ModelRecord.build(
-                arch, self.network_config, self.accuracy_model
-            ).mean_validation_accuracy
-            self._accuracy_cache[arch.fingerprint] = cached
-        return cached
-
-    # ------------------------------------------------------------------ #
-    # Candidate proposal
-    # ------------------------------------------------------------------ #
-    def _propose(
-        self,
-        generation: int,
-        rng: np.random.Generator,
-        seen: set[str],
-        records: list[PairRecord],
-        population: deque,
-        selection: np.ndarray | None,
-    ) -> list[tuple[Cell | MacroSpec, AcceleratorConfig]]:
-        """The next generation's unique (cell, configuration) pairs."""
-        spec = self.spec
-        batch: list[tuple[Cell | MacroSpec, AcceleratorConfig]] = []
-        batch_keys: set[str] = set()
-
-        def admit(cell: Cell, config: AcceleratorConfig) -> None:
-            batch.append((cell, config))
-            batch_keys.add(pair_key(cell, config_digest(config)))
-
-        if generation == 0:
-            for _ in range(spec.population_size):
-                cell, config = self._random_pair(rng, seen, batch_keys)
-                admit(cell, config)
-            return batch
-        assert selection is not None
-
-        for _ in range(spec.population_size):
-            parent = self._tournament(rng, population, selection, records)
-            child = self._child_of(parent, rng, seen, batch_keys)
-            admit(*child)
-        return batch
-
-    def _tournament(
-        self,
-        rng: np.random.Generator,
-        population: deque,
-        selection: np.ndarray,
-        records: list[PairRecord],
-    ) -> PairRecord:
-        """Best-of-k parent selection over the current (aged) population."""
-        alive = list(population)
-        size = min(self.spec.tournament_size, len(alive))
-        picks = rng.choice(len(alive), size=size, replace=False)
-        best = min(
-            (alive[int(index)] for index in picks),
-            key=lambda pair_index: (selection[pair_index], pair_index),
-        )
-        return records[best]
-
-    def _child_of(
-        self,
-        parent: PairRecord,
-        rng: np.random.Generator,
-        seen: set[str],
-        batch_keys: set[str],
-    ) -> tuple[Cell | MacroSpec, AcceleratorConfig]:
+    def _child(self, evolution: Evolution, parent: Pair, batch_keys: set[str]) -> Pair:
         """One never-seen child pair: a hardware step or a cell mutation."""
-        spec = self.spec
-        if rng.random() < spec.hardware_move_probability:
-            moves = self.space.neighbors(parent.config)
-            order = rng.permutation(len(moves))
-            for position in order:
-                config = moves[int(position)]
-                key = pair_key(parent.cell, config_digest(config))
-                if key not in seen and key not in batch_keys:
-                    return parent.cell, config
+        if evolution.rng.random() < self.spec.hardware_move_probability:
+            cell, config = parent
+            moves = self.space.neighbors(config)
+            for position in evolution.rng.permutation(len(moves)):
+                pair = (cell, moves[int(position)])
+                if evolution.is_new(pair, batch_keys):
+                    return pair
             # The whole hardware neighborhood of this cell is exhausted;
             # fall through to a cell mutation on the parent's hardware.
-        parent_digest = config_digest(parent.config)
-        try:
-            cell = mutate_unique(
-                parent.cell,
-                rng,
-                _CellsOfConfig(seen, batch_keys, parent_digest),
-                max_vertices=spec.max_vertices,
-                max_edges=spec.max_edges,
-                max_attempts=_MUTATION_ATTEMPTS,
-            )
-            return cell, parent.config
-        except DatasetError:
-            # Inject fresh diversity instead of stalling the generation.
-            obs.count("cosearch.random_fallbacks")
-            return self._random_pair(rng, seen, batch_keys)
-
-    def _random_pair(
-        self, rng: np.random.Generator, seen: set[str], batch_keys: set[str]
-    ) -> tuple[Cell | MacroSpec, AcceleratorConfig]:
-        spec = self.spec
-        for _ in range(_RANDOM_ATTEMPTS):
-            arch = random_architecture(
-                rng, spec.arch_space, spec.max_vertices, spec.max_edges, self.network_config
-            )
-            config = self.space.sample(rng)
-            key = pair_key(arch, config_digest(config))
-            if key not in seen and key not in batch_keys:
-                return arch, config
-        raise SearchError(
-            f"could not draw an unseen random pair in {_RANDOM_ATTEMPTS} "
-            "attempts; the joint search space appears exhausted"
-        )
+        return evolution.mutant(parent, batch_keys)
 
 
 def studied_baselines(
@@ -528,20 +340,7 @@ def studied_baselines(
     baselines: dict[str, tuple[float, float]] = {}
     for name in config_names:
         try:
-            search_spec = SearchSpec(
-                strategy=strategy,
-                config_name=name,
-                metric=spec.metric,
-                min_accuracy=spec.min_accuracy,
-                population_size=spec.population_size,
-                generations=spec.generations,
-                seed=spec.seed,
-                max_vertices=spec.max_vertices,
-                max_edges=spec.max_edges,
-                enable_parameter_caching=spec.enable_parameter_caching,
-                arch_space=spec.arch_space,
-            )
-            result = SearchEngine(search_spec).run()
+            result = SearchEngine(spec._fixed_hardware(strategy, name)).run()
         except SearchError:
             continue
         if np.isfinite(result.best_objective):

@@ -32,6 +32,7 @@ completed shard file.
 from __future__ import annotations
 
 import json
+import math
 import os
 import socket
 import time
@@ -71,11 +72,12 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
 
 
 def _read_json(path: Path) -> dict | None:
-    """Read a JSON file; missing, truncated or partial content is ``None``."""
+    """Read a JSON object; missing, truncated or non-object content is ``None``."""
     try:
-        return json.loads(path.read_text())
+        payload = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError):
         return None
+    return payload if isinstance(payload, dict) else None
 
 
 def _create_exclusive(path: Path, payload: dict) -> bool:
@@ -124,6 +126,22 @@ class SweepPair:
         return f"{self.config_name}-{self.key}"
 
 
+def _pair_from_entry(entry: object) -> SweepPair:
+    """One manifest pair entry; a malformed one is a :class:`ServiceError`."""
+    if not isinstance(entry, dict):
+        raise ServiceError(f"sweep manifest pair entry {entry!r} is not an object")
+    missing = [name for name in ("shard", "config", "key") if name not in entry]
+    if missing:
+        raise ServiceError(f"sweep manifest pair entry {entry!r} lacks {missing}")
+    shard, config, key = entry["shard"], entry["config"], entry["key"]
+    if type(shard) is not int or not isinstance(config, str) or not isinstance(key, str):
+        raise ServiceError(
+            f"sweep manifest pair entry {entry!r} needs an integer shard and "
+            "string config and key"
+        )
+    return SweepPair(shard, config, key)
+
+
 class SweepManifest:
     """The complete, content-keyed pair list of one sweep.
 
@@ -135,18 +153,17 @@ class SweepManifest:
     """
 
     def __init__(self, payload: dict):
-        if payload.get("kind") != "sweep-manifest":
+        if not isinstance(payload, dict) or payload.get("kind") != "sweep-manifest":
             raise ServiceError("not a sweep manifest payload")
         if payload.get("version") != QUEUE_FORMAT_VERSION:
             raise ServiceError(
                 f"unsupported manifest version {payload.get('version')!r} "
                 f"(expected {QUEUE_FORMAT_VERSION})"
             )
+        if not isinstance(payload.get("pairs"), list):
+            raise ServiceError("sweep manifest has no 'pairs' list")
         self._payload = payload
-        self.pairs: tuple[SweepPair, ...] = tuple(
-            SweepPair(entry["shard"], entry["config"], entry["key"])
-            for entry in payload["pairs"]
-        )
+        self.pairs: tuple[SweepPair, ...] = tuple(map(_pair_from_entry, payload["pairs"]))
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -226,7 +243,10 @@ class SweepManifest:
         """Load a manifest file, verifying its digest field is present."""
         payload = _read_json(Path(path))
         if payload is None:
-            raise ServiceError(f"unreadable sweep manifest at {path}")
+            raise ServiceError(
+                f"unreadable sweep manifest at {path}: missing, truncated or "
+                "not a JSON object"
+            )
         return cls(payload)
 
     @classmethod
@@ -383,18 +403,26 @@ class WorkQueue:
         path = self.lease_path(pair)
         if not path.exists():
             return "free"
+        now = now or time.time()
         payload = _read_json(path)
-        if payload is None:
-            # Truncated lease from a crashed fallback writer: stealable once
-            # the file itself is old enough to be past expiry.
+        deadline = math.nan
+        if payload is not None:
             try:
-                age = (now or time.time()) - path.stat().st_mtime
-            except OSError:
-                return "free"
-            return "orphaned" if age > self.expiry_seconds else "leased"
-        heartbeat = float(payload.get("heartbeat", 0.0))
-        expiry = float(payload.get("expiry_seconds", self.expiry_seconds))
-        return "orphaned" if (now or time.time()) > heartbeat + expiry else "leased"
+                deadline = float(payload.get("heartbeat", 0.0)) + float(
+                    payload.get("expiry_seconds", self.expiry_seconds)
+                )
+            except (TypeError, ValueError):
+                pass
+        if math.isfinite(deadline):
+            return "orphaned" if now > deadline else "leased"
+        # Truncated lease from a crashed fallback writer, or a payload with
+        # no usable heartbeat: stealable once the file itself is old enough
+        # to be past expiry.
+        try:
+            age = now - path.stat().st_mtime
+        except OSError:
+            return "free"
+        return "orphaned" if age > self.expiry_seconds else "leased"
 
     # ------------------------------------------------------------------ #
     # Transitions

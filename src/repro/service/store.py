@@ -208,8 +208,9 @@ class MeasurementStore:
         #: (config, key) → (data path, offset, length, fingerprints); ``None``
         #: until the first read scans the compacted indices.
         self._compact_entries: dict[tuple[str, str], tuple[Path, int, int, list[str]]] | None = None
-        #: Memory-mapped compacted data arrays, one per data file.
-        self._compact_data: dict[Path, np.ndarray] = {}
+        #: Memory-mapped compacted data arrays, one per data file (``None``
+        #: for a file skipped as truncated or mis-shaped).
+        self._compact_data: dict[Path, np.ndarray | None] = {}
 
     # ------------------------------------------------------------------ #
     # Bookkeeping
@@ -634,17 +635,33 @@ class MeasurementStore:
         )
 
     def _compacted_array(self, data_path: Path) -> np.ndarray | None:
-        """The memory-mapped ``(2, rows)`` data array of one compacted file."""
-        array = self._compact_data.get(data_path)
-        if array is None:
+        """The memory-mapped ``(2, rows)`` data array of one compacted file.
+
+        A truncated or mis-shaped data file is counted and logged once, and
+        its pairs read as misses (``None``), like a skipped index entry.
+        """
+        if data_path not in self._compact_data:
+            array, reason = None, None
             try:
                 array = np.load(data_path, mmap_mode="r", allow_pickle=False)
-            except (OSError, ValueError):
-                return None
-            if array.ndim != 2 or array.shape[0] != 2:
-                return None
+            except (OSError, ValueError) as error:
+                reason = f"unreadable ({error})"
+            else:
+                if array.ndim != 2 or array.shape[0] != 2:
+                    reason = f"shaped {array.shape}, not (2, N)"
+                    array = None
+            if reason is not None:
+                obs.count("store.compact_data_skipped")
+                obs.log(
+                    "store.compact_data_skipped",
+                    f"compacted data {data_path.name}: {reason}; skipped, its pairs "
+                    "read as misses",
+                    level="warning",
+                    path=str(data_path),
+                    reason=reason,
+                )
             self._compact_data[data_path] = array
-        return array
+        return self._compact_data[data_path]
 
     # ------------------------------------------------------------------ #
     # Internals

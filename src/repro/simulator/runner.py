@@ -7,7 +7,7 @@ roughly 1.5 million latency measurements and 900 thousand energy measurements.
 :class:`~repro.nasbench.dataset.NASBenchDataset` through the vectorized
 :class:`~repro.simulator.batch.BatchSimulator`, and :class:`MeasurementSet`
 stores the aligned result arrays that the analysis and benchmark modules
-consume.  :func:`simulate_records` runs a handful of records through the
+consume.  :func:`simulate_records` runs a small dataset through the
 scalar :class:`PerformanceSimulator` for per-layer detail.
 """
 
@@ -203,14 +203,22 @@ def evaluate_dataset(
 
 
 def simulate_records(
-    records: Iterable[ModelRecord],
+    dataset: NASBenchDataset,
     config: AcceleratorConfig,
     enable_parameter_caching: bool = True,
 ) -> list[SimulationResult]:
-    """Simulate a handful of records on one configuration (detailed results)."""
+    """Simulate a handful of models on one configuration (detailed results).
+
+    Each model is expanded through the dataset's own backbone, so the
+    results agree with :func:`evaluate_dataset`; slice a larger population
+    with :meth:`~repro.nasbench.dataset.NASBenchDataset.filter` first.
+    """
     simulator = PerformanceSimulator(
         config,
         enable_parameter_caching=enable_parameter_caching,
         collect_layer_results=True,
     )
-    return [simulator.simulate(record.build_network()) for record in records]
+    return [
+        simulator.simulate(record.build_network(dataset.network_config))
+        for record in dataset
+    ]

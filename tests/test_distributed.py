@@ -30,12 +30,13 @@ from repro.service import (
     SweepWorker,
     WorkQueue,
 )
-from repro.service.queue import iter_pairs_rotated
+from repro.service.queue import QUEUE_FORMAT_VERSION, iter_pairs_rotated
 from repro.simulator import BatchSimulator
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SHARD = 8
 CONFIGS = ("V1", "V2")
+MANIFEST_HEAD = {"kind": "sweep-manifest", "version": QUEUE_FORMAT_VERSION}
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,26 @@ class TestSweepManifest:
         with pytest.raises(ServiceError, match="at least one configuration"):
             SweepManifest.build(queue_dataset, [], shard_size=SHARD)
 
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ([], "not a JSON object"),
+            ("x", "not a JSON object"),
+            (MANIFEST_HEAD, "no 'pairs' list"),
+            ({**MANIFEST_HEAD, "pairs": [[0, "V1", "k"]]}, "is not an object"),
+            ({**MANIFEST_HEAD, "pairs": [{"shard": 0, "config": "V1"}]}, r"lacks \['key'\]"),
+            (
+                {**MANIFEST_HEAD, "pairs": [{"shard": "0", "config": "V1", "key": "k"}]},
+                "integer shard",
+            ),
+        ],
+    )
+    def test_malformed_manifest_is_a_service_error(self, tmp_path, payload, problem):
+        path = tmp_path / "manifest-bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ServiceError, match=problem):
+            SweepManifest.load(path)
+
 
 class TestWorkQueue:
     @pytest.fixture()
@@ -205,6 +226,20 @@ class TestWorkQueue:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"kind": "pair-le')
         assert queue.lease_state(pair) == "leased"  # fresh: benefit of the doubt
+        old = time.time() - 1000.0
+        os.utime(path, (old, old))
+        assert queue.lease_state(pair) == "orphaned"
+        assert queue.try_claim(pair, "bob") is not None
+
+    @pytest.mark.parametrize("content", ["[]", '"x"', '{"heartbeat": "soon"}'])
+    def test_malformed_lease_is_judged_by_file_age(self, queue, content):
+        # One bad lease file must not crash every worker that reaches its
+        # pair: like a truncated lease it is stealable once old enough.
+        pair = queue.manifest.pairs[0]
+        path = queue.lease_path(pair)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content)
+        assert queue.lease_state(pair) == "leased"
         old = time.time() - 1000.0
         os.utime(path, (old, old))
         assert queue.lease_state(pair) == "orphaned"

@@ -317,6 +317,29 @@ class TestCompaction:
         assert store.stats.pairs_compacted == 2 * 4 - 1
         assert_matches_reference(measurements, direct_measurements)
 
+    @pytest.mark.parametrize("damage", ["truncated", "misshaped"])
+    def test_unusable_compacted_data_is_counted_once_and_reads_as_misses(
+        self, tmp_path, store_dataset, direct_measurements, damage
+    ):
+        store = self.warm_store(tmp_path, store_dataset, configs=("V1",))
+        result = store.compact(store_dataset, configs=("V1",))
+        if damage == "truncated":
+            data = result.data_path.read_bytes()
+            result.data_path.write_bytes(data[: len(data) // 2])
+        else:
+            np.save(result.data_path, np.zeros((3, len(store_dataset))))
+        with obs.capture(tmp_path / "trace") as tracer:
+            store = make_store(tmp_path)
+            measurements = store.extend(store_dataset, configs=("V1",))
+        # One data file: one event and one count, however many pairs it holds.
+        assert tracer.event_counts["store.compact_data_skipped"] == 1
+        assert tracer.metrics.counter_value("store.compact_data_skipped") == 1
+        assert store.stats.pairs_compacted == 0
+        assert store.stats.pairs_simulated == 4
+        np.testing.assert_array_equal(
+            measurements.latencies("V1"), direct_measurements.latencies("V1")
+        )
+
     def test_compacted_rows_are_copies_not_mmap_views(self, tmp_path, store_dataset):
         # Callers mutate measurement arrays (analysis normalizes in place);
         # handing out read-only mmap slices would crash them.

@@ -11,12 +11,14 @@ from repro.errors import SimulationError
 from repro.nasbench import (
     BEST_ACCURACY_CELL,
     NASBenchDataset,
+    NetworkConfig,
     SHALLOW_CONV_HEAVY_CELL,
     build_network,
     random_cell,
 )
 from repro.service import MeasurementStore
 from repro.simulator import (
+    BatchSimulator,
     MeasurementSet,
     PerformanceSimulator,
     evaluate_dataset,
@@ -173,9 +175,24 @@ class TestBatchEvaluation:
             evaluate_dataset(dataset, configs=[])
 
     def test_simulate_records_returns_details(self, dataset):
-        results = simulate_records(dataset.records[:2], EDGE_TPU_V1)
+        first_two = {record.fingerprint for record in dataset.records[:2]}
+        results = simulate_records(
+            dataset.filter(lambda record: record.fingerprint in first_two), EDGE_TPU_V1
+        )
         assert len(results) == 2
         assert all(result.layer_results for result in results)
+
+    def test_simulate_records_expands_through_the_dataset_backbone(self):
+        # Regression: records used to expand on the default backbone, so a
+        # 256-channel stem reported the default-stem latency.
+        wide = NASBenchDataset.generate(
+            num_models=6, seed=3, network_config=NetworkConfig(stem_channels=256)
+        )
+        expected = BatchSimulator().evaluate(wide, configs=[EDGE_TPU_V1]).latencies("V1")
+        results = simulate_records(wide, EDGE_TPU_V1)
+        np.testing.assert_allclose(
+            [result.latency_ms for result in results], expected, rtol=1e-9
+        )
 
     def test_caching_ablation_changes_results(self):
         small = NASBenchDataset.generate(num_models=10, seed=2)
