@@ -85,6 +85,11 @@ def test_backend_fusion(benchmark):
         scalar = PerformanceSimulator(configs[row]).simulate(networks[model])
         np.testing.assert_allclose(fused.latency_ms[row, model], scalar.latency_ms, rtol=1e-9)
         np.testing.assert_allclose(fused.energy_mj[row, model], scalar.energy_mj, rtol=1e-9)
+    # The sensitivity columns ride the primal's chunk loop and buffers, so a
+    # sensitivity run must leave latency and energy bit-identical.
+    duals = compile_and_time_table(table, configs, sensitivities=True)
+    np.testing.assert_array_equal(duals.latency_ms, fused.latency_ms)
+    np.testing.assert_array_equal(duals.energy_mj, fused.energy_mj)
 
     fused_elapsed, _ = _best_of(FUSION_ROUNDS, lambda: compile_and_time_table(table, configs))
     dual_elapsed, _ = _best_of(

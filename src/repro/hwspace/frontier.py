@@ -189,10 +189,10 @@ class HardwareFrontier:
     ) -> list[SensitivityPoint]:
         """One :class:`SensitivityPoint` per configuration of the grid.
 
-        Runs the fused kernel with forward-mode dual propagation — the
-        sensitivities cost one extra chunked pass on top of the sweep, not a
-        finite-difference re-sweep per perturbed field.  Summaries cover the
-        same accuracy-filtered models as :meth:`summarize`.
+        Runs the fused kernel with ``sensitivities=True``: the tangents are
+        read off the sweep's own chunk loop, not a finite-difference
+        re-sweep per perturbed field.  Summaries cover the same
+        accuracy-filtered models as :meth:`summarize`.
         """
         configs = list(configs)
         table = LayerTable.from_architectures(

@@ -191,10 +191,6 @@ class Cell:
     # ------------------------------------------------------------------ #
     # Connectivity and pruning
     # ------------------------------------------------------------------ #
-    def is_connected(self) -> bool:
-        """Return ``True`` if there is a directed path from input to output."""
-        return bool(self._reachable_from_input()[-1])
-
     def _reachable_from_input(self) -> np.ndarray:
         """Boolean vector: vertex reachable from the input vertex."""
         n = self.num_vertices

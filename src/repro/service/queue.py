@@ -164,6 +164,30 @@ class SweepManifest:
             raise ServiceError("sweep manifest has no 'pairs' list")
         self._payload = payload
         self.pairs: tuple[SweepPair, ...] = tuple(map(_pair_from_entry, payload["pairs"]))
+        # The fields a worker reads for every pair are checked here, so a
+        # damaged manifest fails at load instead of inside a worker's drain.
+        for name, kind in (("digest", str), ("shards", list), ("configs", list)):
+            if not isinstance(payload.get(name), kind):
+                raise ServiceError(f"sweep manifest has no {name!r} {kind.__name__}")
+        shards, configs = payload["shards"], payload["configs"]
+        if not all(isinstance(shard, dict) for shard in shards):
+            raise ServiceError("sweep manifest shard entries must be objects")
+        if not all(
+            isinstance(entry, dict) and isinstance(entry.get("name"), str) for entry in configs
+        ):
+            raise ServiceError("sweep manifest config entries must be objects with a name")
+        names = {entry["name"] for entry in configs}
+        for pair in self.pairs:
+            if not 0 <= pair.shard_index < len(shards):
+                raise ServiceError(
+                    f"sweep manifest pair {pair.pair_id} names shard {pair.shard_index}, "
+                    f"but the manifest has {len(shards)} shards"
+                )
+            if pair.config_name not in names:
+                raise ServiceError(
+                    f"sweep manifest pair {pair.pair_id} names configuration "
+                    f"{pair.config_name!r}, which the manifest does not list"
+                )
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -17,28 +17,27 @@ the kernel to it within 1e-9 relative.  Only the association order of the
 per-model float sums differs: ``np.add.reduceat`` versus the scalar engine's
 Python ``sum``.
 
-On top of the fused primal, the kernel optionally propagates forward-mode
-dual numbers through the timing chain, yielding two per-(config, model)
-sensitivity columns:
+The same chunk loop optionally reads two per-(config, model) sensitivity
+columns off the primal's own gathered rows (forward mode: both tangents are
+linear in the DRAM/refill cycles and the branch masks the primal computes):
 
 ``d latency / d clock_ghz``
     Exact for the real pipeline: no discrete compiler decision reads the
     clock (it is in neither ``MAPPING_CONFIG_FIELDS`` nor
-    ``CACHE_CONFIG_FIELDS``), so away from branch ties the dual equals the
+    ``CACHE_CONFIG_FIELDS``), so away from branch ties the tangent equals the
     true derivative of the primal latency in the clock.
 ``d latency / d sram_byte``
     Defined under a documented *relaxed* cache model: discrete decisions
     (greedy layer selection, spill thresholds, capacity truncation) are
     frozen at the planned operating point, and a marginal byte of effective
     capacity displaces streamed DRAM traffic proportionally to each layer's
-    share of the streamed bytes.  The ``sram_scale`` knob evaluates the same
-    relaxed, frozen-plan chain at a scaled SRAM size — it is exactly linear
-    in the scale, which is what the central-finite-difference validation
-    tests exploit.
+    share of the streamed bytes.  That frozen-plan latency is exactly linear
+    in a uniform SRAM scale factor; ``tests/test_fused.py`` evaluates it at
+    scaled sizes as the finite-difference oracle for this column.
 
-Branch conventions for the duals (ties resolved as the primal ``max`` does):
-the memory term is active when ``memory_cycles > compute_cycles``, and within
-it the DRAM term when ``dram_cycles >= refill_cycles``.
+Branch conventions for the tangents (ties resolved as the primal ``max``
+does): the memory term is active when ``memory_cycles > compute_cycles``,
+and within it the DRAM term when ``dram_cycles >= refill_cycles``.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class FusedGridResult:
 
     latency_ms: np.ndarray
     energy_mj: np.ndarray
-    #: d latency_ms / d clock_ghz (frozen-branch forward-mode dual).
+    #: d latency_ms / d clock_ghz (frozen-branch forward-mode tangent).
     dlatency_dclock_ghz: np.ndarray | None = None
     #: d latency_ms / d on-chip SRAM byte (relaxed frozen-plan model).
     dlatency_dsram_byte: np.ndarray | None = None
@@ -115,7 +114,7 @@ class _UniqueLevelArrays:
     inverse_mapping: np.ndarray
     #: (C,) rows into the cache-unique arrays.
     inverse_cache: np.ndarray
-    #: (Cc, L) float64 — d streamed_bytes / d sram_scale (sensitivity runs).
+    #: (Cc, L) float64 — d streamed_bytes / d SRAM scale (sensitivity runs).
     dstreamed_dscale: np.ndarray | None = None
 
 
@@ -223,9 +222,9 @@ def _relaxed_streamed_slope(
     capacity: np.ndarray,
     effective: np.ndarray,
 ) -> np.ndarray:
-    """Per-layer ``d streamed_bytes / d sram_scale`` under the relaxed model.
+    """Per-layer ``d streamed_bytes / d scale`` under the relaxed model.
 
-    ``sram_scale`` multiplies every SRAM capacity (PE and core memories)
+    The SRAM scale multiplies every SRAM capacity (PE and core memories)
     uniformly.  With the greedy plan frozen, the chain is
 
     ``scale → cache capacity → effective capacity → streamed bytes``
@@ -270,14 +269,11 @@ def compile_and_time_table(
     enable_parameter_caching: bool = True,
     config_chunk: int | None = None,
     sensitivities: bool = False,
-    sram_scale: float = 1.0,
 ) -> FusedGridResult:
     """Fused grid evaluation: latency, energy and optional sensitivities.
 
     ``latency_ms``/``energy_mj`` are the scalar engine's per-model results
-    (within 1e-9 relative) when ``sram_scale`` is exactly ``1.0`` (the
-    default; any other value evaluates the relaxed frozen-plan cache model
-    documented in the module docstring).
+    (within 1e-9 relative).
 
     Parameters
     ----------
@@ -285,8 +281,8 @@ def compile_and_time_table(
         Config rows processed per scratch buffer; defaults to a size that
         keeps the scratch near cache-resident.
     sensitivities:
-        Also propagate the forward-mode duals and fill the two
-        ``dlatency_*`` columns.
+        Also fill the two ``dlatency_*`` columns (same chunk loop, same
+        gathered rows as the primal).
     """
     config_table = ConfigTable.from_configs(configs)
     num_configs = len(config_table)
@@ -298,11 +294,9 @@ def compile_and_time_table(
         return FusedGridResult(empty, np.full_like(empty, np.nan), *zeros)
 
     with obs.span("sim.fused", configs=num_configs, models=num_models, layers=num_layers):
-        unique = _unique_level_arrays(
-            table, config_table, enable_parameter_caching, sensitivities or sram_scale != 1.0
-        )
+        unique = _unique_level_arrays(table, config_table, enable_parameter_caching, sensitivities)
         chunk = config_chunk or _auto_chunk(num_configs, num_layers)
-        result = _fused_time_energy(unique, table, config_table, chunk, sensitivities, sram_scale)
+        result = _fused_time_energy(unique, table, config_table, chunk, sensitivities)
     return result
 
 
@@ -312,11 +306,24 @@ def _fused_time_energy(
     config_table: ConfigTable,
     chunk: int,
     sensitivities: bool,
-    sram_scale: float,
 ) -> FusedGridResult:
-    """Timing/energy back end of the fused kernel (split out for tracing)."""
+    """Chunked in-place timing/energy back end of the fused kernel.
+
+    Six gather buffers and two float work buffers of shape ``(chunk, L)``
+    are threaded through the whole timing+energy chain with ``out=`` kernels
+    — no temporary of that shape is allocated inside the loop on the primal
+    path.  All batch multiplies happen on the integer gathers before the
+    float coefficients touch them, preserving the scalar engine's
+    ``pj * int`` association order.
+
+    With ``sensitivities`` the two tangents are read off the same chunk: both
+    are linear in the DRAM/refill cycles and the branch masks, so they are
+    taken before ``np.maximum`` overwrites the DRAM cycles in place.
+    """
     num_configs = len(config_table)
     num_models = table.num_models
+    num_layers = len(table)
+    starts = table.segment_starts
 
     # Full-config-axis columns, flattened to (C,) for row slicing.
     sustained = np.ravel(sustained_bytes_per_cycle(config_table))
@@ -334,72 +341,11 @@ def _fused_time_energy(
 
     latency_ms = np.empty((num_configs, num_models), dtype=np.float64)
     energy_mj = np.empty((num_configs, num_models), dtype=np.float64)
-
-    with obs.span("sim.time_energy", chunk=chunk):
-        _fused_rows_numpy(
-            unique,
-            table,
-            chunk,
-            batch,
-            sustained,
-            on_chip,
-            layer_overhead,
-            inference_overhead,
-            clock_hz,
-            static_power,
-            macs,
-            sram_scale,
-            latency_ms,
-            energy_mj,
-        )
-
-        energy_mj[~params.available] = np.nan
-
     dlat_dclock = dlat_dsram = None
     if sensitivities:
-        with obs.span("sim.sensitivities"):
-            dlat_dclock, dlat_dsram = _sensitivity_pass(
-                unique,
-                table,
-                chunk,
-                batch,
-                sustained,
-                on_chip,
-                clock_hz,
-                np.ravel(config_table.total_on_chip_memory_bytes).astype(np.float64),
-                latency_ms,
-            )
-    return FusedGridResult(latency_ms, energy_mj, dlat_dclock, dlat_dsram)
-
-
-def _fused_rows_numpy(
-    unique: _UniqueLevelArrays,
-    table: LayerTable,
-    chunk: int,
-    batch: np.ndarray,
-    sustained: np.ndarray,
-    on_chip: np.ndarray,
-    layer_overhead: np.ndarray,
-    inference_overhead: np.ndarray,
-    clock_hz: np.ndarray,
-    static_power: np.ndarray,
-    macs: np.ndarray,
-    sram_scale: float,
-    latency_ms: np.ndarray,
-    energy_mj: np.ndarray,
-) -> None:
-    """Chunked in-place numpy body of the fused kernel.
-
-    Six gather buffers and two float work buffers of shape ``(chunk, L)``
-    are threaded through the whole timing+energy chain with ``out=`` kernels
-    — no temporary of that shape is allocated inside the loop on the exact
-    (``sram_scale == 1``) path.  All batch multiplies happen on the integer
-    gathers before the float coefficients touch them, preserving the scalar
-    engine's ``pj * int`` association order.
-    """
-    num_configs = latency_ms.shape[0]
-    num_layers = unique.compute_cycles.shape[-1]
-    starts = table.segment_starts
+        dlat_dclock = np.empty((num_configs, num_models), dtype=np.float64)
+        dlat_dsram = np.empty((num_configs, num_models), dtype=np.float64)
+        total_sram = np.ravel(config_table.total_on_chip_memory_bytes).astype(np.float64)
 
     g_cycles = np.empty((chunk, num_layers), dtype=np.int64)
     g_stream = np.empty((chunk, num_layers), dtype=np.int64)
@@ -409,130 +355,84 @@ def _fused_rows_numpy(
     g_sram = np.empty((chunk, num_layers), dtype=np.int64)
     work_a = np.empty((chunk, num_layers), dtype=np.float64)
     work_b = np.empty((chunk, num_layers), dtype=np.float64)
-    relaxed = sram_scale != 1.0
 
-    for begin in range(0, num_configs, chunk):
-        end = min(begin + chunk, num_configs)
-        rows = slice(0, end - begin)
-        rows_m = unique.inverse_mapping[begin:end]
-        rows_c = unique.inverse_cache[begin:end]
-        b = batch[begin:end, None]
-        np.take(unique.compute_cycles, rows_m, axis=0, out=g_cycles[rows])
-        np.take(unique.stream_bytes, rows_c, axis=0, out=g_stream[rows])
-        np.take(unique.act_dram_bytes, rows_c, axis=0, out=g_act[rows])
-        np.take(unique.refill_bytes, rows_c, axis=0, out=g_refill[rows])
-        np.take(unique.idle_slots, rows_m, axis=0, out=g_idle[rows])
-        np.take(unique.sram_act_bytes, rows_c, axis=0, out=g_sram[rows])
+    with obs.span("sim.time_energy", chunk=chunk):
+        for begin in range(0, num_configs, chunk):
+            end = min(begin + chunk, num_configs)
+            rows = slice(0, end - begin)
+            rows_m = unique.inverse_mapping[begin:end]
+            rows_c = unique.inverse_cache[begin:end]
+            b = batch[begin:end, None]
+            np.take(unique.compute_cycles, rows_m, axis=0, out=g_cycles[rows])
+            np.take(unique.stream_bytes, rows_c, axis=0, out=g_stream[rows])
+            np.take(unique.act_dram_bytes, rows_c, axis=0, out=g_act[rows])
+            np.take(unique.refill_bytes, rows_c, axis=0, out=g_refill[rows])
+            np.take(unique.idle_slots, rows_m, axis=0, out=g_idle[rows])
+            np.take(unique.sram_act_bytes, rows_c, axis=0, out=g_sram[rows])
 
-        # Batched integer compute cycles and DRAM bytes, in place on the
-        # gathers: dram = stream + batch * act_dram, compute = batch * cycles.
-        cc = np.multiply(g_cycles[rows], b, out=g_cycles[rows])
-        db = np.multiply(g_act[rows], b, out=g_act[rows])
-        db += g_stream[rows]
-        sus = sustained[begin:end, None]
-        ocb = on_chip[begin:end, None]
+            # Batched integer compute cycles and DRAM bytes, in place on the
+            # gathers: dram = stream + batch * act_dram, compute = batch * cycles.
+            cc = np.multiply(g_cycles[rows], b, out=g_cycles[rows])
+            db = np.multiply(g_act[rows], b, out=g_act[rows])
+            db += g_stream[rows]
+            sus = sustained[begin:end, None]
+            ocb = on_chip[begin:end, None]
+            clock = clock_hz[begin:end, None]
 
-        dram_cycles = np.divide(db, sus, out=work_a[rows])
-        refill_cycles = np.divide(g_refill[rows], ocb, out=work_b[rows])
-        if relaxed:
-            # Frozen-plan relaxation: branch masks come from the scale-1
-            # operating point, the streamed bytes move linearly with scale.
-            shift = unique.dstreamed_dscale[rows_c] * (sram_scale - 1.0)
-            dram_mask = dram_cycles >= refill_cycles
-            memory_mask = np.maximum(dram_cycles, refill_cycles) > cc
-            memory = np.where(
-                dram_mask, (db + shift) / sus, (g_refill[rows] - shift) / ocb
-            )
-            total = np.where(memory_mask, memory, cc) + layer_overhead[begin:end, None]
-        else:
+            dram_cycles = np.divide(db, sus, out=work_a[rows])
+            refill_cycles = np.divide(g_refill[rows], ocb, out=work_b[rows])
+            if sensitivities:
+                # Branch masks as the primal max resolves ties: the memory
+                # term wins when it exceeds compute, DRAM when it ties refill.
+                dram_mask = dram_cycles >= refill_cycles
+                memory_mask = np.maximum(dram_cycles, refill_cycles) > cc
+                # Clock: DRAM cycles scale linearly with the clock (sustained
+                # bytes/cycle carry a 1/clock factor), refill and compute do not.
+                dtotal_dclock = np.add.reduceat(
+                    np.where(memory_mask & dram_mask, dram_cycles / clock, 0.0), starts, axis=-1
+                )
+                # SRAM scale: streamed bytes move with the scale, refill bytes
+                # move opposite; the frozen masks pick which reaches the latency.
+                d_stream = unique.dstreamed_dscale[rows_c]
+                dmem_dscale = np.where(dram_mask, d_stream / sus, -d_stream / ocb)
+                dtotal_dscale = np.add.reduceat(
+                    np.where(memory_mask, dmem_dscale, 0.0), starts, axis=-1
+                )
             memory = np.maximum(dram_cycles, refill_cycles, out=work_a[rows])
             total = np.maximum(cc, memory, out=work_a[rows])
             total += layer_overhead[begin:end, None]
-        model_cycles = inference_overhead[begin:end, None] + np.add.reduceat(
-            total, starts, axis=-1
-        )
-        np.multiply(
-            np.divide(model_cycles, clock_hz[begin:end, None], out=model_cycles),
-            1e3,
-            out=latency_ms[begin:end],
-        )
+            model_cycles = inference_overhead[begin:end, None] + np.add.reduceat(
+                total, starts, axis=-1
+            )
+            np.multiply(
+                np.divide(model_cycles, clock, out=model_cycles), 1e3, out=latency_ms[begin:end]
+            )
+            if sensitivities:
+                # latency_ms = cycles * 1e3 / clock_hz: the quotient rule gives
+                # the propagated term minus the direct 1/clock term; 1e9 Hz per
+                # GHz.  One unit of SRAM scale is total_sram actual bytes.
+                dlat_dclock[begin:end] = (
+                    dtotal_dclock * 1e3 / clock - latency_ms[begin:end] / clock
+                ) * 1e9
+                dlat_dsram[begin:end] = dtotal_dscale * 1e3 / clock / total_sram[begin:end, None]
 
-        # Energy: same terms, same association order as layer_energy_mj.
-        # SRAM bytes = stored weights (stream + refill) + batch * activations.
-        sram_b = np.multiply(g_sram[rows], b, out=g_sram[rows])
-        sram_b += g_stream[rows]
-        sram_b += g_refill[rows]
-        macs_b = np.multiply(macs, b, out=g_cycles[rows])
-        idle_b = np.multiply(g_idle[rows], b, out=g_idle[rows])
-        dynamic = np.multiply(macs_b, _MAC_PJ, out=work_a[rows])
-        dynamic += np.multiply(idle_b, _IDLE_LANE_PJ, out=work_b[rows])
-        dynamic += np.multiply(sram_b, _SRAM_BYTE_PJ, out=work_b[rows])
-        dynamic += np.multiply(db, _DRAM_BYTE_PJ, out=work_b[rows])
-        dynamic *= _PJ_TO_MJ
-        np.add(
-            np.add.reduceat(dynamic, starts, axis=-1),
-            static_power[begin:end, None] * latency_ms[begin:end],
-            out=energy_mj[begin:end],
-        )
+            # Energy: same terms, same association order as layer_energy_mj.
+            # SRAM bytes = stored weights (stream + refill) + batch * activations.
+            sram_b = np.multiply(g_sram[rows], b, out=g_sram[rows])
+            sram_b += g_stream[rows]
+            sram_b += g_refill[rows]
+            macs_b = np.multiply(macs, b, out=g_cycles[rows])
+            idle_b = np.multiply(g_idle[rows], b, out=g_idle[rows])
+            dynamic = np.multiply(macs_b, _MAC_PJ, out=work_a[rows])
+            dynamic += np.multiply(idle_b, _IDLE_LANE_PJ, out=work_b[rows])
+            dynamic += np.multiply(sram_b, _SRAM_BYTE_PJ, out=work_b[rows])
+            dynamic += np.multiply(db, _DRAM_BYTE_PJ, out=work_b[rows])
+            dynamic *= _PJ_TO_MJ
+            np.add(
+                np.add.reduceat(dynamic, starts, axis=-1),
+                static_power[begin:end, None] * latency_ms[begin:end],
+                out=energy_mj[begin:end],
+            )
 
-
-def _sensitivity_pass(
-    unique: _UniqueLevelArrays,
-    table: LayerTable,
-    chunk: int,
-    batch: np.ndarray,
-    sustained: np.ndarray,
-    on_chip: np.ndarray,
-    clock_hz: np.ndarray,
-    total_sram_bytes: np.ndarray,
-    latency_ms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward-mode dual propagation for the two config sensitivities.
-
-    Runs after (and independently of) the primal chunks: the duals need the
-    branch masks, which are recomputed here from the same gathered rows, so
-    the primal scratch discipline stays untouched.
-    """
-    num_configs, num_models = latency_ms.shape
-    starts = table.segment_starts
-    dlat_dclock = np.empty((num_configs, num_models), dtype=np.float64)
-    dlat_dsram = np.empty((num_configs, num_models), dtype=np.float64)
-
-    for begin in range(0, num_configs, chunk):
-        end = min(begin + chunk, num_configs)
-        rows_m = unique.inverse_mapping[begin:end]
-        rows_c = unique.inverse_cache[begin:end]
-        b = batch[begin:end, None]
-        cc = b * unique.compute_cycles[rows_m]
-        d_stream = unique.dstreamed_dscale[rows_c]
-        sus = sustained[begin:end, None]
-        ocb = on_chip[begin:end, None]
-        clock = clock_hz[begin:end, None]
-
-        dram_bytes = unique.stream_bytes[rows_c] + b * unique.act_dram_bytes[rows_c]
-        dram_cycles = dram_bytes / sus
-        refill_cycles = unique.refill_bytes[rows_c] / ocb
-        dram_mask = dram_cycles >= refill_cycles
-        memory_mask = np.maximum(dram_cycles, refill_cycles) > cc
-
-        # Clock dual: dram_cycles scale linearly with the clock (sustained
-        # bytes/cycle carry a 1/clock factor), refill and compute do not.
-        dcycles_dclock = np.where(memory_mask & dram_mask, dram_cycles / clock, 0.0)
-        dtotal_dclock = np.add.reduceat(dcycles_dclock, starts, axis=-1)
-        # latency_ms = cycles * 1e3 / clock_hz; the quotient rule gives the
-        # propagated term minus the direct 1/clock term; 1e9 Hz per GHz.
-        dlat_dclock[begin:end] = (
-            dtotal_dclock * 1e3 / clock - latency_ms[begin:end] / clock
-        ) * 1e9
-
-        # SRAM dual: streamed bytes move with the scale, refill bytes move
-        # opposite; the frozen masks pick which term reaches the latency.
-        dmem_dscale = np.where(dram_mask, d_stream / sus, -d_stream / ocb)
-        dcycles_dscale = np.where(memory_mask, dmem_dscale, 0.0)
-        dtotal_dscale = np.add.reduceat(dcycles_dscale, starts, axis=-1)
-        # One unit of scale is total_sram_bytes actual bytes.
-        dlat_dsram[begin:end] = (
-            dtotal_dscale * 1e3 / clock / total_sram_bytes[begin:end, None]
-        )
-    return dlat_dclock, dlat_dsram
-
+        energy_mj[~params.available] = np.nan
+    return FusedGridResult(latency_ms, energy_mj, dlat_dclock, dlat_dsram)

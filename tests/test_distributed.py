@@ -37,6 +37,22 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SHARD = 8
 CONFIGS = ("V1", "V2")
 MANIFEST_HEAD = {"kind": "sweep-manifest", "version": QUEUE_FORMAT_VERSION}
+BARE_PAIR = {"shard": 5, "config": "V1", "key": "k"}
+
+
+def without(name):
+    """Manifest damage: drop one top-level field."""
+    return lambda payload: {key: value for key, value in payload.items() if key != name}
+
+
+def with_pair(index, **fields):
+    """Manifest damage: overwrite fields of one pair entry."""
+
+    def damage(payload):
+        payload["pairs"][index].update(fields)
+        return payload
+
+    return damage
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +180,46 @@ class TestSweepManifest:
         path.write_text(json.dumps(payload))
         with pytest.raises(ServiceError, match=problem):
             SweepManifest.load(path)
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda _: {**MANIFEST_HEAD, "pairs": [BARE_PAIR]}, "no 'digest' str"),
+            (without("digest"), "no 'digest' str"),
+            (without("shards"), "no 'shards' list"),
+            (without("configs"), "no 'configs' list"),
+            (lambda payload: {**payload, "shards": [7]}, "shard entries must be objects"),
+            (lambda payload: {**payload, "configs": [{}]}, "objects with a name"),
+            (with_pair(0, shard=3), "names shard 3, but the manifest has 3 shards"),
+            (with_pair(0, shard=-1), "names shard -1"),
+            (with_pair(-1, config="V9"), "'V9', which the manifest does not list"),
+        ],
+        ids=[
+            "bare-head",
+            "no-digest",
+            "no-shards",
+            "no-configs",
+            "non-object-shard",
+            "unnamed-config",
+            "shard-past-end",
+            "negative-shard",
+            "unlisted-config",
+        ],
+    )
+    def test_manifest_with_missing_or_dangling_fields_fails_at_load(
+        self, tmp_path, queue_dataset, damage, problem
+    ):
+        _, manifest = publish(tmp_path, queue_dataset)
+        payload = json.loads((tmp_path / f"manifest-{manifest.digest}.json").read_text())
+        path = tmp_path / "manifest-bad.json"
+        path.write_text(json.dumps(damage(payload)))
+        with pytest.raises(ServiceError, match=problem):
+            loaded = SweepManifest.load(path)
+            # What a worker reads for each pair: nothing may be left to fail here.
+            assert loaded.digest
+            for pair in loaded.pairs:
+                loaded.shard_archs(pair.shard_index)
+                loaded.config(pair.config_name)
 
 
 class TestWorkQueue:

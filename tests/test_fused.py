@@ -10,9 +10,12 @@ Two layers of guarantees:
   batch size and bit-widths); energy is NaN exactly where the configuration
   has no energy model;
 * **forward-mode sensitivities vs central finite differences** — the clock
-  dual against the fused primal re-run at perturbed clocks, the SRAM dual
-  against the relaxed frozen-plan model it differentiates (``sram_scale``),
-  both at 1e-6 relative tolerance.
+  tangent against the fused primal re-run at perturbed clocks, the SRAM
+  tangent against :func:`relaxed_latency_ms`, the relaxed frozen-plan model
+  it differentiates, both at 1e-6 relative tolerance; the sensitivity run
+  shares the primal's chunk loop, so its latency/energy must be bit-equal;
+* **metamorphic properties** — isomorphic cells time alike, and a faster
+  clock never makes a design slower.
 """
 
 from __future__ import annotations
@@ -22,11 +25,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch import EDGE_TPU_V1, EDGE_TPU_V2, EDGE_TPU_V3, STUDIED_CONFIGS
+from repro.arch.config_table import ConfigTable
 from repro.arch.energy import energy_parameters_for
+from repro.arch.interconnect import on_chip_bytes_per_cycle, sustained_bytes_per_cycle
 from repro.hwspace import AcceleratorSpace
-from repro.nasbench import NASBenchDataset, build_network, random_cell
+from repro.nasbench import (
+    NASBenchDataset,
+    NetworkConfig,
+    build_network,
+    compute_vertex_channels,
+    random_cell,
+)
+from repro.nasbench.hashing import permute_cell
 from repro.nasbench.layer_table import LayerTable
 from repro.simulator import BatchSimulator, PerformanceSimulator, compile_and_time_table
+from repro.simulator.fused import _unique_level_arrays
 
 RTOL = 1e-9
 
@@ -86,6 +99,33 @@ def assert_matches_scalar(result, networks, configs, caching=True):
             assert np.isnan(result.energy_mj[index]).all()
 
 
+def relaxed_latency_ms(table, configs, caching, sram_scale):
+    """Latency (C, M) of the relaxed frozen-plan cache model at a scaled SRAM size.
+
+    The model the SRAM tangent differentiates: branch masks stay at the
+    planned (scale 1) operating point, streamed bytes move linearly with the
+    scale and refill bytes opposite, so the latency is linear in the scale.
+    """
+    config_table = ConfigTable.from_configs(configs)
+    unique = _unique_level_arrays(table, config_table, caching, need_slope=True)
+    rows_m, rows_c = unique.inverse_mapping, unique.inverse_cache
+    batch = config_table.batch_size
+    compute = batch * unique.compute_cycles[rows_m]
+    dram = unique.stream_bytes[rows_c] + batch * unique.act_dram_bytes[rows_c]
+    refill = unique.refill_bytes[rows_c]
+    sustained = sustained_bytes_per_cycle(config_table)
+    on_chip = on_chip_bytes_per_cycle(config_table)
+    dram_mask = dram / sustained >= refill / on_chip
+    memory_mask = np.maximum(dram / sustained, refill / on_chip) > compute
+    shift = unique.dstreamed_dscale[rows_c] * (sram_scale - 1.0)
+    memory = np.where(dram_mask, (dram + shift) / sustained, (refill - shift) / on_chip)
+    total = np.where(memory_mask, memory, compute) + config_table.layer_overhead_cycles
+    cycles = config_table.inference_overhead_cycles + np.add.reduceat(
+        total, table.segment_starts, axis=-1
+    )
+    return cycles / config_table.clock_hz * 1e3
+
+
 class TestFusedParity:
     @pytest.mark.parametrize("caching", [True, False])
     def test_fused_matches_scalar_oracle(self, fused_networks, fused_table, caching):
@@ -117,9 +157,16 @@ class TestFusedParity:
     @pytest.mark.parametrize("chunk", [1, 3, 1000])
     def test_chunking_does_not_change_results(self, fused_table, chunk):
         baseline = compile_and_time_table(fused_table, PARITY_CONFIGS)
-        chunked = compile_and_time_table(fused_table, PARITY_CONFIGS, config_chunk=chunk)
-        np.testing.assert_array_equal(chunked.latency_ms, baseline.latency_ms)
-        np.testing.assert_array_equal(chunked.energy_mj, baseline.energy_mj)
+        duals = compile_and_time_table(fused_table, PARITY_CONFIGS, sensitivities=True)
+        for sensitivities in (False, True):
+            chunked = compile_and_time_table(
+                fused_table, PARITY_CONFIGS, config_chunk=chunk, sensitivities=sensitivities
+            )
+            # The sensitivity run shares the primal's buffers: same bits.
+            np.testing.assert_array_equal(chunked.latency_ms, baseline.latency_ms)
+            np.testing.assert_array_equal(chunked.energy_mj, baseline.energy_mj)
+        np.testing.assert_array_equal(chunked.dlatency_dclock_ghz, duals.dlatency_dclock_ghz)
+        np.testing.assert_array_equal(chunked.dlatency_dsram_byte, duals.dlatency_dsram_byte)
 
     def test_batch_simulator_routes_grid_through_fused_by_default(self, fused_table):
         latency, energy = BatchSimulator().evaluate_table_grid(fused_table, PARITY_CONFIGS)
@@ -153,14 +200,16 @@ class TestSensitivities:
         result = compile_and_time_table(
             fused_table, MUTATED_CONFIGS, enable_parameter_caching=caching, sensitivities=True
         )
+        # At the operating point the relaxed model is the kernel's primal.
+        np.testing.assert_allclose(
+            relaxed_latency_ms(fused_table, MUTATED_CONFIGS, caching, 1.0),
+            result.latency_ms,
+            rtol=1e-12,
+        )
         h = 1e-4
-        plus = compile_and_time_table(
-            fused_table, MUTATED_CONFIGS, enable_parameter_caching=caching, sram_scale=1.0 + h
-        )
-        minus = compile_and_time_table(
-            fused_table, MUTATED_CONFIGS, enable_parameter_caching=caching, sram_scale=1.0 - h
-        )
-        fd_per_scale = (plus.latency_ms - minus.latency_ms) / (2.0 * h)
+        plus = relaxed_latency_ms(fused_table, MUTATED_CONFIGS, caching, 1.0 + h)
+        minus = relaxed_latency_ms(fused_table, MUTATED_CONFIGS, caching, 1.0 - h)
+        fd_per_scale = (plus - minus) / (2.0 * h)
         total_bytes = np.array(
             [config.total_on_chip_memory_bytes for config in MUTATED_CONFIGS], dtype=np.float64
         )
@@ -192,3 +241,73 @@ class TestSensitivities:
             assert point.mean_dlatency_dclock_ghz <= 0.0
             assert point.mean_dlatency_dsram_mib <= 0.0
             assert 0.0 <= point.sram_sensitive_fraction <= 1.0
+
+
+def random_topological_order(cell, rng):
+    """A random vertex relabeling that :func:`permute_cell` accepts."""
+    matrix = cell.numpy_matrix()
+    order, left = [0], list(range(1, cell.num_vertices))
+    while left:
+        ready = [vertex for vertex in left if not matrix[left, vertex].any()]
+        order.append(ready[rng.integers(len(ready))])
+        left.remove(order[-1])
+    return order
+
+
+def keeps_channel_split(cell, order, config=NetworkConfig()):
+    """Whether relabeling by *order* leaves every vertex its NASBench-101 width.
+
+    NASBench-101 hands the remainder of an uneven output channel split (three
+    or five output feeders) to the *earliest* feeders, so a relabeling that
+    reorders those feeders expands the same fingerprint to a different network.
+    """
+    matrix = cell.numpy_matrix()
+    permuted = matrix[np.ix_(order, order)]
+    for stack in range(config.num_stacks):
+        width = config.stem_channels * 2**stack
+        before = compute_vertex_channels(width, width, matrix)
+        if [before[vertex] for vertex in order] != compute_vertex_channels(width, width, permuted):
+            return False
+    return True
+
+
+class TestMetamorphic:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6))
+    def test_isomorphic_cells_time_alike(self, seed):
+        rng = np.random.default_rng(seed)
+        cells = [random_cell(rng) for _ in range(8)]
+        orders = [random_topological_order(cell, rng) for cell in cells]
+        permuted = [permute_cell(cell, order) for cell, order in zip(cells, orders)]
+        assert permuted == cells  # one fingerprint per pair
+        same = [keeps_channel_split(cell, order) for cell, order in zip(cells, orders)]
+        table = LayerTable.from_networks([build_network(cell) for cell in cells + permuted])
+        for caching in (True, False):
+            result = compile_and_time_table(table, PARITY_CONFIGS, enable_parameter_caching=caching)
+            for column in (result.latency_ms, result.energy_mj):
+                original, relabeled = column[:, : len(cells)], column[:, len(cells) :]
+                np.testing.assert_allclose(relabeled[:, same], original[:, same], rtol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        cell_seed=st.integers(min_value=0, max_value=10**6),
+        clocks=st.lists(
+            st.integers(min_value=100, max_value=2000), min_size=2, max_size=4, unique=True
+        ),
+        data=st.data(),
+    )
+    def test_faster_clock_never_raises_latency(self, cell_seed, clocks, data):
+        rng = np.random.default_rng(cell_seed)
+        networks = [build_network(random_cell(rng)) for _ in range(3)]
+        design = {
+            name: [data.draw(st.sampled_from(values))]
+            for name, values in GRID_AXES.items()
+            if name != "clock_mhz"
+        }
+        space = AcceleratorSpace({**design, "clock_mhz": [float(mhz) for mhz in clocks]})
+        configs = sorted(space.enumerate(), key=lambda config: config.clock_mhz)
+        for caching in (True, False):
+            latency = compile_and_time_table(
+                LayerTable.from_networks(networks), configs, enable_parameter_caching=caching
+            ).latency_ms
+            assert (np.diff(latency, axis=0) <= 0.0).all()
